@@ -16,7 +16,7 @@ import click
 from .errors import CCAError
 from .linalg import parse_field
 from .registry import UnknownExampleError, example_ids, run_example
-from .report import merge_reports
+from .report import merge_reports, reports_json_text
 from .semigroup import (
     DEFAULT_MARGIN,
     DEFAULT_PRECISION,
@@ -34,12 +34,7 @@ EXIT_INPUT_ERROR = 2
 
 def _emit(reports, fmt):
     if fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "reports": [r.to_json() for r in reports],
-            "passed": all(r.passed() for r in reports),
-        }
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(reports_json_text(reports))
     else:
         for r in reports:
             click.echo(r.to_table())

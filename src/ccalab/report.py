@@ -88,6 +88,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def reports_json_text(reports):
+    """The JSON document `ccalab verify`/`ccalab suite` print for reports."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "reports": [r.to_json() for r in reports],
+        "passed": all(r.passed() for r in reports),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def merge_reports(subject, reports, config=None):
     out = VerificationReport(subject, config=config or {})
     for r in reports:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -65,6 +66,13 @@ def test_suite_seeded_deterministic_and_minimal_run():
     assert a.output == b.output
     res = run("suite", "--trials", "0")
     assert res.exit_code == 2
+
+
+def test_suite_matches_golden_bytes():
+    res = run("suite", "--seed", "0", "--trials", "20", "--format", "json")
+    assert res.exit_code == 0
+    golden = Path(__file__).parent / "golden" / "suite_s0_t20.json"
+    assert res.output == golden.read_text()
 
 
 def test_semigroup_command():

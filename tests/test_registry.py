@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,12 +7,20 @@ from ccalab.errors import MethodDisagreementError
 from ccalab.polys import p_from_json, p_to_json
 from ccalab.pullback import PullbackFamily, conductor
 from ccalab.registry import UnknownExampleError, example_ids, get_entry, run_example
+from ccalab.report import reports_json_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_every_registered_example_passes():
+    reports = []
     for eid in example_ids():
         rep = run_example(eid)
         assert rep.passed(), f"{eid}: {[c.claim_id for c in rep.failures()]}"
+        reports.append(rep)
+    # byte-level guard: the same bytes as `ccalab verify all --format json`
+    golden = (GOLDEN / "verify_all.json").read_text()
+    assert reports_json_text(reports) + "\n" == golden
 
 
 def test_unknown_example_raises():
