@@ -36,7 +36,6 @@ from .pullback import (
     cokernel_profile,
     colon_in_B,
     conductor,
-    image_membership,
     verify_generation,
 )
 from .report import Claim, VerificationReport

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import NotSquarefreeError, UnitIdealError, VoidComplexError
 from .linalg import rank
@@ -309,26 +308,14 @@ def _betti_for_subset(cplx, field, mask):
     return out
 
 
-def graded_betti(ideal, field, jobs=1):
-    """Betti table of a squarefree proper ideal via subset restrictions.
-
-    The 2^n subsets are independent; with jobs > 1 they are computed in a
-    thread pool and merged in a fixed order, so the output is identical
-    for any worker count.
-    """
+def graded_betti(ideal, field):
+    """Betti table of a squarefree proper ideal via subset restrictions."""
     if not ideal.is_squarefree():
         raise NotSquarefreeError("graded_betti needs a squarefree ideal")
     if ideal.is_unit():
         raise UnitIdealError("graded_betti needs a proper ideal")
     cplx = complex_of(ideal)
-    n = ideal.context.n
-    masks = range(1 << n)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = ex.map(lambda m: _betti_for_subset(cplx, field, m), masks)
-            pieces = list(chunks)
-    else:
-        pieces = [_betti_for_subset(cplx, field, m) for m in masks]
+    pieces = [_betti_for_subset(cplx, field, m) for m in range(1 << ideal.context.n)]
     entries = {}
     for piece in pieces:
         for key, v in piece:
@@ -336,17 +323,17 @@ def graded_betti(ideal, field, jobs=1):
     return BettiTable(ideal.context, field, entries)
 
 
-def projective_dimension(ideal, field, jobs=1):
+def projective_dimension(ideal, field):
     """pd of T/I for a monomial ideal (polarizing if not squarefree)."""
     if ideal.is_unit():
         raise UnitIdealError("projective dimension of the zero ring")
     if ideal.is_zero():
         return 0
     sf, _added = ideal.polarize()
-    return graded_betti(sf, field, jobs=jobs).projective_dimension_of_quotient()
+    return graded_betti(sf, field).projective_dimension_of_quotient()
 
 
-def depth(ideal, field, jobs=1):
+def depth(ideal, field):
     """depth of T/I over the field, via n - pd (Auslander-Buchsbaum).
 
     Non-squarefree ideals are polarized first; the added variables join a
@@ -357,7 +344,7 @@ def depth(ideal, field, jobs=1):
     if ideal.is_zero():
         return ideal.context.n
     sf, added = ideal.polarize()
-    pd = graded_betti(sf, field, jobs=jobs).projective_dimension_of_quotient()
+    pd = graded_betti(sf, field).projective_dimension_of_quotient()
     return sf.context.n - pd - added
 
 
@@ -408,6 +395,6 @@ def is_cohen_macaulay(cplx, field):
     return True
 
 
-def depth_of_direct_sum(ideals, field, jobs=1):
+def depth_of_direct_sum(ideals, field):
     """depth of a finite direct sum of quotients: the minimum summand depth."""
-    return min(depth(i, field, jobs=jobs) for i in ideals)
+    return min(depth(i, field) for i in ideals)

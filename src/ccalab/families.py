@@ -97,7 +97,6 @@ def f_family_report(
     parameters=None,
     trace_powers=(),
     bound=None,
-    jobs=1,
 ):
     """Verify every computable claim about A = T/(cap (F_i)) and B = (+) T/(F_i).
 
@@ -170,7 +169,7 @@ def f_family_report(
     if "dim_A" in expected:
         rep.check("dim.A", anchor("dim.A", "dim A"), expected["dim_A"], dim_a)
 
-    depth_a = depth(defining, field, jobs=jobs)
+    depth_a = depth(defining, field)
     rep.check(
         "depth.two-routes",
         anchor("depth.two-routes", "depth via Betti table equals depth via links"),
@@ -181,7 +180,7 @@ def f_family_report(
         rep.check("depth.A", anchor("depth.A", "depth A"), expected["depth_A"], depth_a)
 
     if spec.is_unmixed():
-        depth_b = min(depth(p, field, jobs=jobs) for p in primes)
+        depth_b = min(depth(p, field) for p in primes)
         rep.check(
             "depth.B",
             anchor("depth.B", "depth_A B = d"),
@@ -202,7 +201,7 @@ def f_family_report(
             )
 
     if "depth_quotients" in expected:
-        vals = [depth(cond + p, field, jobs=jobs) for p in primes]
+        vals = [depth(cond + p, field) for p in primes]
         rep.check(
             "depth.quotients",
             anchor("depth.quotients", "depth A/(I + p_i) per component"),
@@ -220,7 +219,7 @@ def f_family_report(
             "depth.A-over-I",
             anchor("depth.A-over-I", "depth A/I"),
             expected["depth_A_over_I"],
-            depth(cond, field, jobs=jobs),
+            depth(cond, field),
         )
     if "pairwise_intersection_identity" in expected:
         rhs = intersect_all(
@@ -244,7 +243,7 @@ def f_family_report(
             cond == rhs,
         )
 
-    if conductor_is_irrelevant_primary(fam, cond):
+    if conductor_is_irrelevant_primary(fam):
         prof = cokernel_profile(fam)
         if "cokernel_length" in expected:
             rep.check(

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals and prime fields.
 
 No floating point anywhere.  Ranks of integer matrices over Q use
-fraction-free (Bareiss) elimination; everything else is plain Gaussian
-elimination with Fraction or mod-p scalars.  Subspaces keep a fully
-reduced echelon basis, so equal subspaces compare equal.
+fraction-free (Bareiss) elimination, and over F_p plain elimination mod p.
+Everything else goes through one sparse echelon, Subspace, which keeps a
+fully reduced basis, so equal subspaces compare equal.
 """
 
 from __future__ import annotations
@@ -167,20 +167,21 @@ def rank(rows, field):
 
 
 class Subspace:
-    """A subspace of field^ambient, kept as a fully reduced echelon basis.
+    """A subspace of field^ambient, kept as a sparse, fully reduced echelon basis.
 
-    Basis rows have pivot entry 1, pivots strictly increasing, and every
-    pivot column is zero in all other rows, so two Subspace objects are
-    equal iff they describe the same subspace.
+    Vectors are sparse {column: value} dicts (dense sequences are accepted
+    as input too).  The basis maps each pivot column to the row that has
+    its first nonzero entry, equal to 1, there and a zero in every other
+    pivot column, so two Subspace objects are equal iff they describe the
+    same subspace.  Over Q, integral values are kept as ints.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows")
 
     def __init__(self, field, ambient, vectors=()):
         self.field = field
         self.ambient = ambient
-        self.rows = []
-        self.pivots = []
+        self.rows = {}  # pivot -> row
         for v in vectors:
             self.insert(v)
 
@@ -188,44 +189,54 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
+    def pivots(self):
+        return sorted(self.rows)
+
+    def _sparse(self, v):
+        p = self.field.p
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        if p:
+            out = {j: x % p for j, x in items}
+        else:
+            out = {
+                j: x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+                for j, x in items
+            }
+        return {j: x for j, x in out.items() if x}
+
     def reduce(self, v):
-        """Residual of v after eliminating all basis pivots."""
-        f = self.field
-        v = [f.of(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(p, self.ambient):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        """Sparse residual of v after eliminating every basis pivot.
+
+        Rows vanish in each other's pivot columns, so the coefficient of a
+        pivot row is just the entry of v in that column.
+        """
+        v = self._sparse(v)
+        rows = self.rows
+        for piv, c in [(j, x) for j, x in v.items() if j in rows]:
+            _sub_multiple(v, c, rows[piv], self.field.p)
         return v
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return not self.reduce(v)
 
     def insert(self, v):
         """Add v to the span; returns True if the dimension grew."""
         f = self.field
         r = self.reduce(v)
-        piv = next((j for j, x in enumerate(r) if x), None)
-        if piv is None:
+        if not r:
             return False
-        inv = f.inv(r[piv])
-        r = [f.mul(inv, x) for x in r]
+        piv = min(r)
+        c = r[piv]
+        if c != 1:
+            inv = -1 if c == -1 else f.inv(c)
+            r = {j: f.mul(inv, x) for j, x in r.items()}
         # keep the basis fully reduced
-        for row in self.rows:
-            c = row[piv]
+        for row in self.rows.values():
+            c = row.get(piv)
             if c:
-                for j in range(piv, self.ambient):
-                    row[j] = f.sub(row[j], f.mul(c, r[j]))
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < piv:
-            k += 1
-        self.rows.insert(k, r)
-        self.pivots.insert(k, piv)
+                _sub_multiple(row, c, r, f.p)
+        self.rows[piv] = r
         return True
-
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -233,7 +244,6 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient == other.ambient
-            and self.pivots == other.pivots
             and self.rows == other.rows
         )
 
@@ -241,40 +251,44 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+def _sub_multiple(v, c, row, p):
+    """v -= c * row in place, over F_p (p > 0) or Q (p == 0)."""
+    for j, x in row.items():
+        y = v.get(j, 0) - c * x
+        if p:
+            y %= p
+        if y:
+            v[j] = y
+        else:
+            v.pop(j, None)
+
+
 def nullspace(rows, ncols, field):
-    """Solution space of rows * x = 0 as a Subspace of field^ncols."""
-    f = field
-    m = [[f.of(x) for x in r] for r in rows]
-    nr = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                fac = m[i][c]
-                m[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for c in free:
-        v = [f.zero()] * ncols
-        v[c] = f.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(m[i][c])
-        basis.append(v)
-    return Subspace(field, ncols, basis)
+    """Solution space of rows * x = 0 as a Subspace of field^ncols.
+
+    The solutions are read off the echelon basis of the row space: one
+    per free column c, with 1 at c and minus column c of each pivot row.
+    """
+    echelon = Subspace(field, ncols, rows)
+    basis = {c: {c: 1} for c in range(ncols) if c not in echelon.rows}
+    for piv, row in echelon.rows.items():
+        for c, x in row.items():
+            if c != piv:
+                basis[c][piv] = field.neg(x)
+    return Subspace(field, ncols, basis.values())
+
+
+def preimage(blocks, ncols, field):
+    """{v in field^ncols : M v in target for every (columns, target) block}.
+
+    A block gives a map M by its columns, the sparse images of the ncols
+    unit vectors, and the Subspace `target` that M v must land in.  v lies
+    in the preimage iff the residual of M v against each target vanishes,
+    so the answer is the nullspace of the residuals of the columns.
+    """
+    residual_rows = {}
+    for i, (columns, target) in enumerate(blocks):
+        for j, col in enumerate(columns):
+            for r, x in target.reduce(col).items():
+                residual_rows.setdefault((i, r), {})[j] = x
+    return nullspace(list(residual_rows.values()), ncols, field)

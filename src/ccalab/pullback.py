@@ -19,8 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContextMismatchError, InfiniteLengthError, MethodDisagreementError
-from .linalg import QQ, Subspace, nullspace
+from .errors import (
+    ContextMismatchError,
+    InfiniteLengthError,
+    MethodDisagreementError,
+    PrecisionError,
+)
+from .linalg import QQ, Subspace, preimage
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -204,28 +209,6 @@ class PullbackFamily:
                     out.append(BElement.from_T(self, {e: Fraction(1)}))
         return out
 
-    def membership_rows(self, d):
-        """Rows L with: w in A_d iff L w = 0, over the basis_B(d) coordinates."""
-        index = self.basis_index(d)
-        width = len(index)
-        rows = []
-        if self.mode == CONGRUENCE:
-            for e in monomials_of_degree(self.context.n, d):
-                if not self.q.contains(Monomial(e)):
-                    row = [Fraction(0)] * width
-                    row[index[(0, e)]] = Fraction(1)
-                    row[index[(1, e)]] = Fraction(-1)
-                    rows.append(row)
-        else:
-            for e in monomials_of_degree(self.context.n, d):
-                surv = self.surviving(e)
-                for other in surv[1:]:
-                    row = [Fraction(0)] * width
-                    row[index[(surv[0], e)]] = Fraction(1)
-                    row[index[(other, e)]] = Fraction(-1)
-                    rows.append(row)
-        return rows
-
     def __repr__(self):
         if self.mode == CONGRUENCE:
             return f"PullbackFamily(congruence, q={self.q!r})"
@@ -260,6 +243,14 @@ class BElement:
         return cls(
             family,
             tuple(one if j == i else {} for j in range(family.ell)),
+        )
+
+    @classmethod
+    def unit(cls, family, i, m):
+        """The basis element of B: monomial m in component i."""
+        return cls(
+            family,
+            tuple({m: Fraction(1)} if j == i else {} for j in range(family.ell)),
         )
 
     @classmethod
@@ -308,13 +299,11 @@ class BElement:
         return degs.pop() if len(degs) == 1 else None
 
     def vector(self, d):
-        """Dense coordinates over basis_B(d); raises if support leaves it."""
+        """Sparse coordinates over basis_B(d); raises if support leaves it."""
         index = self.family.basis_index(d)
-        v = [Fraction(0)] * len(index)
-        for i, part in enumerate(self.parts):
-            for m, c in part.items():
-                v[index[(i, m)]] = c
-        return v
+        return {
+            index[(i, m)]: c for i, part in enumerate(self.parts) for m, c in part.items()
+        }
 
     def in_A(self):
         """Membership in A, with a lift to T as witness in intersection mode.
@@ -352,58 +341,36 @@ class BElement:
         return f"({inner})"
 
 
-def image_membership(fam, belt):
-    """(is in A, witness lift): the coefficient-compatibility test."""
-    return belt.in_A()
-
-
 def mult_matrix(fam, multiplier, d, e):
-    """Matrix of multiplication B_d -> B_{d+e} by a degree-e multiplier.
+    """Sparse columns of multiplication B_d -> B_{d+e} by a degree-e multiplier.
 
     The multiplier is a T-polynomial (acting diagonally) or a BElement.
-    Columns follow basis_B(d), rows basis_B(d+e).
+    Column j is the image of basis_B(d)[j] over the basis_B(d+e) indices.
     """
     target_index = fam.basis_index(d + e)
-    cols = []
-    for (i, m) in fam.basis_B(d):
-        if isinstance(multiplier, BElement):
-            part = multiplier.parts[i]
-        else:
-            part = fam.reduce_poly(i, multiplier)
-        col = [Fraction(0)] * len(target_index)
-        for mm, c in part.items():
-            key = (i, tuple(x + y for x, y in zip(mm, m)))
-            col[target_index[key]] = c
-        cols.append(col)
-    # transpose to rows-major
-    rows = [
-        [cols[j][r] for j in range(len(cols))] for r in range(len(target_index))
+    if isinstance(multiplier, BElement):
+        parts = multiplier.parts
+    else:
+        parts = [fam.reduce_poly(i, multiplier) for i in range(fam.ell)]
+    return [
+        {
+            target_index[(i, tuple(x + y for x, y in zip(mm, m)))]: c
+            for mm, c in parts[i].items()
+        }
+        for (i, m) in fam.basis_B(d)
     ]
-    return rows
 
 
 def stable_subspace(fam, d, multipliers):
     """{v in B_d : g v in A for every multiplier g}, as a Subspace."""
-    width = fam.dim_B(d)
-    constraints = []
+    a_pieces = GradedSubmodule.unit_A(fam)
+    blocks = []
     for g in multipliers:
         e = g.degree() if isinstance(g, BElement) else p_degree(g)
         if e is None:
             raise ValueError("multipliers must be homogeneous and nonzero")
-        mrows = fam.membership_rows(d + e)
-        if not mrows:
-            continue
-        mat = mult_matrix(fam, g, d, e)
-        for lrow in mrows:
-            row = [Fraction(0)] * width
-            for r, lc in enumerate(lrow):
-                if lc:
-                    mrow = mat[r]
-                    for j in range(width):
-                        if mrow[j]:
-                            row[j] += lc * mrow[j]
-            constraints.append(row)
-    return nullspace(constraints, width, QQ)
+        blocks.append((mult_matrix(fam, g, d, e), a_pieces.piece(d + e)))
+    return preimage(blocks, fam.dim_B(d), QQ)
 
 
 def conductor(fam, pad=2):
@@ -414,8 +381,12 @@ def conductor(fam, pad=2):
     conductor is q B).  Direct path: degree by degree, the span of the
     canonical A-basis vectors b with b e_i in A for every idempotent.
     The two spans must agree on every degree swept; disagreement raises
-    MethodDisagreementError (an implementation bug, never swallowed).
+    MethodDisagreementError (an implementation bug, never swallowed).  The
+    result is kept in the family's cache, so the check runs once a family.
     """
+    key = ("conductor", pad)
+    if key in fam._basis_cache:
+        return fam._basis_cache[key]
     if fam.mode == CONGRUENCE:
         formula = fam.q
     elif fam.ell == 1:
@@ -454,12 +425,13 @@ def conductor(fam, pad=2):
                 f"conductor paths disagree in degree {d}: "
                 f"direct dim {direct.dim}, closed dim {closed.dim}"
             )
+    fam._basis_cache[key] = formula
     return formula
 
 
-def conductor_is_irrelevant_primary(fam, cond=None):
+def conductor_is_irrelevant_primary(fam):
     """Does the conductor cut out only the irrelevant maximal ideal?"""
-    cond = conductor(fam) if cond is None else cond
+    cond = conductor(fam)
     if fam.mode == CONGRUENCE:
         total = cond
     else:
@@ -497,7 +469,7 @@ def cokernel_profile(fam):
     the next degree is still checked at runtime.
     """
     cond = conductor(fam)
-    if not conductor_is_irrelevant_primary(fam, cond):
+    if not conductor_is_irrelevant_primary(fam):
         raise InfiniteLengthError("conductor is not irrelevant-primary")
     n = fam.context.n
     variables = [
@@ -539,13 +511,7 @@ def cokernel_profile(fam):
             continue
         for c in cond_elements:
             for (i, m) in fam.basis_B(d0):
-                unit = BElement(
-                    fam,
-                    tuple(
-                        {m: Fraction(1)} if j == i else {} for j in range(fam.ell)
-                    ),
-                )
-                if not (c * unit).in_A()[0]:
+                if not (c * BElement.unit(fam, i, m)).in_A()[0]:
                     ann_ok = False
     return CokernelProfile(
         length=sum(hilbert),
@@ -623,33 +589,29 @@ class ColonResult:
 def colon_in_B(fam, x_submodule, ideal, bound=None):
     """{b in B : b*I inside X}, degree by degree up to the bound.
 
-    Default bound: max generator degree of I plus the variable count.
-    Bound insufficiency is inherent (the result is a window, not a
+    Default bound: max generator degree of I plus the variable count.  A
+    bound below the max generator degree raises PrecisionError.  Bound
+    insufficiency is inherent (the result is a window, not a
     presentation) and is recorded in the result metadata.
     """
     if ideal.is_zero():
         raise ValueError("colon by the zero ideal is all of B; not represented")
     if bound is None:
         bound = ideal.max_gen_degree() + fam.context.n
+    if bound < ideal.max_gen_degree():
+        raise PrecisionError(
+            f"degree bound {bound} is below the ideal's generator degree "
+            f"{ideal.max_gen_degree()}"
+        )
     gens = [p_of_monomial(g) for g in ideal.gens]
     pieces = {}
     for d in range(bound + 1):
-        width = fam.dim_B(d)
-        constraints = []
-        for g in gens:
-            e = p_degree(g)
-            target = x_submodule.piece(d + e)
-            mat = mult_matrix(fam, g, d, e)
-            # constraint: residual of (g . v) against X_{d+e} vanishes
-            cols = list(zip(*mat)) if mat else [()] * width
-            reduced_cols = [target.reduce(list(col)) for col in cols]
-            if reduced_cols:
-                height = len(reduced_cols[0])
-                for r in range(height):
-                    row = [reduced_cols[j][r] for j in range(width)]
-                    if any(row):
-                        constraints.append(row)
-        pieces[d] = nullspace(constraints, width, QQ)
+        # v is in the piece iff g v lies in X_{d+e} for every generator g
+        blocks = [
+            (mult_matrix(fam, g, d, p_degree(g)), x_submodule.piece(d + p_degree(g)))
+            for g in gens
+        ]
+        pieces[d] = preimage(blocks, fam.dim_B(d), QQ)
     return ColonResult(pieces=pieces, bound=bound, note=f"verified up to degree {bound}")
 
 
@@ -694,21 +656,21 @@ def verify_generation(fam, cond, elements):
                 targets.append(belt)
     for t in targets:
         e = t.degree()
-        span = Subspace(QQ, fam.dim_B(e))
-        for a in elements:
-            da = p_degree(a)
-            if da > e:
-                continue
-            for (i, m) in fam.basis_B(e - da):
-                unit = BElement(
-                    fam,
-                    tuple({m: Fraction(1)} if k == i else {} for k in range(fam.ell)),
-                )
-                span.insert(unit.mul_T(a).vector(e))
-        if not span.contains(t.vector(e)):
+        if not multiples_piece(fam, elements, e).contains(t.vector(e)):
             ok = False
             details["reverse"].append((repr(t), "not generated"))
     return ok, details
+
+
+def multiples_piece(fam, elements, e):
+    """The degree-e piece of sum a B over the T-polynomials a, as a Subspace."""
+    span = Subspace(QQ, fam.dim_B(e))
+    for a in elements:
+        da = p_degree(a)
+        if da <= e:
+            for (i, m) in fam.basis_B(e - da):
+                span.insert(BElement.unit(fam, i, m).mul_T(a).vector(e))
+    return span
 
 
 def regular_sequence_on_B(fam, elements, bound):
@@ -721,36 +683,20 @@ def regular_sequence_on_B(fam, elements, bound):
         if p_degree(a) is None:
             raise ValueError("elements must be homogeneous and nonzero")
     for k, a in enumerate(elements):
-        prev_gens = []
-        for b in elements[:k]:
-            for i in range(fam.ell):
-                prev_gens.append(BElement.from_T(fam, b).component(i))
-        prev = GradedSubmodule(fam, prev_gens) if prev_gens else None
+        prev = GradedSubmodule(
+            fam,
+            [
+                BElement.from_T(fam, b).component(i)
+                for b in elements[:k]
+                for i in range(fam.ell)
+            ],
+        )
         e = p_degree(a)
         for d in range(bound + 1):
-            width = fam.dim_B(d)
-            target = (
-                prev.piece(d + e)
-                if prev is not None
-                else Subspace(QQ, fam.dim_B(d + e))
-            )
-            mat = mult_matrix(fam, a, d, e)
-            cols = list(zip(*mat)) if mat else [()] * width
-            reduced_cols = [target.reduce(list(col)) for col in cols]
-            constraints = []
-            if reduced_cols and reduced_cols[0]:
-                height = len(reduced_cols[0])
-                for r in range(height):
-                    row = [reduced_cols[j][r] for j in range(width)]
-                    if any(row):
-                        constraints.append(row)
-            kernel = nullspace(constraints, width, QQ)
-            lower = (
-                prev.piece(d) if prev is not None else Subspace(QQ, width)
+            kernel = preimage(
+                [(mult_matrix(fam, a, d, e), prev.piece(d + e))], fam.dim_B(d), QQ
             )
             # regular iff the kernel of multiplication is exactly prev B
-            if kernel.dim != lower.dim or not all(
-                lower.contains(r) for r in kernel.rows
-            ):
+            if kernel != prev.piece(d):
                 return False
     return True

@@ -60,7 +60,7 @@ def _artinian(params):
     return ArtinianQuotient(ctx, MonomialIdeal.from_strings(ctx, params["gens"]))
 
 
-def run_example(example_id, field=QQ, jobs=1, bound=None):
+def run_example(example_id, field=QQ, bound=None):
     """Build and verify a registered instance; returns its report."""
     entry = get_entry(example_id)
     kind = entry["kind"]
@@ -76,7 +76,6 @@ def run_example(example_id, field=QQ, jobs=1, bound=None):
             parameters=params.get("parameters"),
             trace_powers=tuple(params.get("trace_powers", ())),
             bound=bound,
-            jobs=jobs,
         )
     elif kind == "k_plus_q":
         rep = k_plus_q_report(_artinian(params), expected=expected, anchors=anchors)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .errors import UnitIdealError, ZeroDivisorError
@@ -29,12 +28,11 @@ from .polys import p_degree, p_in_ideal, p_of_monomial
 from .pullback import (
     BElement,
     GradedSubmodule,
-    Subspace,
     colon_in_B,
     conductor,
+    multiples_piece,
     verify_generation,
 )
-from .linalg import QQ
 
 
 @dataclass(frozen=True)
@@ -261,15 +259,7 @@ def s2_equals_B_test(fam, a, parameters=None):
             e = u.degree()
             if e < da:
                 return False
-            span = Subspace(QQ, fam.dim_B(e))
-            for (i, m) in fam.basis_B(e - da):
-                unit = BElement(
-                    fam,
-                    tuple(
-                        {m: Fraction(1)} if k == i else {} for k in range(fam.ell)
-                    ),
-                )
-                span.insert(unit.mul_T(p_of_monomial(a)).vector(e))
+            span = multiples_piece(fam, [p_of_monomial(a)], e)
             if not span.contains(target.vector(e)):
                 return False
         return True

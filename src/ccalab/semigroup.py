@@ -14,19 +14,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import PrecisionError
-from .linalg import QQ, FieldSpec, nullspace
+from .linalg import QQ, FieldSpec, Subspace, preimage
 
 DEFAULT_PRECISION = 40
 DEFAULT_MARGIN = 10
 
 
-class NumericalSemigroup:
-    """A cofinite submonoid of N, stored by its minimal generators."""
+def _extend_sieve(table, gens, length):
+    """Extend a member table (table[x] is True iff x is a member) to length."""
+    for x in range(len(table), length):
+        table.append(any(g <= x and table[x - g] for g in gens))
 
-    __slots__ = ("gens",)
+
+class NumericalSemigroup:
+    """A cofinite submonoid of N, stored by its minimal generators.
+
+    The member table runs past the Frobenius number (Brauer: it is below
+    min(gens) * max(gens)), so every x beyond the table is a member.
+    """
+
+    __slots__ = ("gens", "_table")
 
     def __init__(self, generators):
         gens = sorted(set(int(g) for g in generators))
@@ -37,44 +47,27 @@ class NumericalSemigroup:
             g = gcd(g, a)
         if g != 1:
             raise ValueError("generators must have gcd 1")
-        members = self._sieve(gens, max(gens) + 1)
+        table = [True]
+        _extend_sieve(table, gens, gens[-1] + 1)
         minimal = [
             a
             for a in gens
-            if not any(members[a - b] for b in gens if 0 < b < a)
+            if not any(table[a - b] for b in gens if 0 < b < a)
         ]
+        _extend_sieve(table, minimal, minimal[0] * minimal[-1] + minimal[-1] + 2)
         object.__setattr__(self, "gens", tuple(minimal))
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, *a):
         raise AttributeError("NumericalSemigroup is immutable")
 
-    @staticmethod
-    def _sieve(gens, limit):
-        table = [False] * (limit + 1)
-        table[0] = True
-        for x in range(1, limit + 1):
-            for g in gens:
-                if g <= x and table[x - g]:
-                    table[x] = True
-                    break
-        return table
-
-    def _member_table(self):
-        # Brauer: the Frobenius number is below min(gens) * max(gens)
-        limit = self.gens[0] * self.gens[-1] + self.gens[-1] + 1
-        return self._sieve(self.gens, limit)
-
     def contains(self, x):
         if x < 0:
             return False
-        table = self._member_table()
-        if x < len(table):
-            return table[x]
-        return True  # beyond the sieve bound everything is a member
+        return x >= len(self._table) or self._table[x]
 
     def gaps(self):
-        table = self._member_table()
-        return tuple(i for i, ok in enumerate(table) if not ok)
+        return tuple(i for i, ok in enumerate(self._table) if not ok)
 
     def frobenius(self):
         """Largest gap; -1 for the full semigroup N."""
@@ -88,13 +81,10 @@ class NumericalSemigroup:
         """Apery set: least member in each residue class mod m."""
         if m < 1 or not self.contains(m):
             raise ValueError("apery needs a nonzero member")
-        # every class has its least member below frobenius + m + 1
-        limit = self.gens[0] * self.gens[-1] + self.gens[-1] + m + 1
-        table = self._sieve(self.gens, limit)
         out = []
         for r in range(m):
             x = r
-            while not table[x]:
+            while not self.contains(x):
                 x += m
             out.append(x)
         return tuple(out)
@@ -144,67 +134,18 @@ def parse_t_series(text):
 
 
 def series_vector(series, field, precision):
-    v = [field.zero()] * precision
-    for e, c in series.items():
-        if e < precision:
-            v[e] = field.of(c)
-    return v
-
-
-class _Echelon:
-    """Echelon basis keyed by leading position, fully reduced."""
-
-    __slots__ = ("field", "width", "rows")
-
-    def __init__(self, field, width):
-        self.field = field
-        self.width = width
-        self.rows = {}  # pivot -> row with leading 1
-
-    def reduce(self, v):
-        f = self.field
-        v = list(v)
-        for p in range(self.width):
-            if v[p] and p in self.rows:
-                c = v[p]
-                row = self.rows[p]
-                for j in range(p, self.width):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
-        return v
-
-    def insert(self, v):
-        """Returns the new pivot position, or None if dependent."""
-        f = self.field
-        v = self.reduce(v)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return None
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
-        for p, row in self.rows.items():
-            if row[piv]:
-                c = row[piv]
-                self.rows[p] = [
-                    f.sub(a, f.mul(c, b)) for a, b in zip(row, v)
-                ]
-        self.rows[piv] = v
-        return piv
-
-    def pivots(self):
-        return sorted(self.rows)
-
-    def contains(self, v):
-        return not any(self.reduce(v))
+    """Sparse coordinates of a truncated series {exponent: coeff}."""
+    v = {e: field.of(c) for e, c in series.items() if e < precision}
+    return {e: c for e, c in v.items() if c}
 
 
 def _mul_series(a, b, field, precision):
-    out = [field.zero()] * precision
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y and i + j < precision:
-                    out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j < precision:
+                out[i + j] = field.add(out.get(i + j, 0), field.mul(x, y))
+    return {e: c for e, c in out.items() if c}
 
 
 class TruncatedSubalgebra:
@@ -221,21 +162,14 @@ class TruncatedSubalgebra:
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "margin", margin)
         gen_vecs = [series_vector(g, field, precision) for g in gens]
-        object.__setattr__(self, "gens", tuple(tuple(g) for g in gen_vecs))
-        basis = _Echelon(field, precision)
-        one = [field.zero()] * precision
-        one[0] = field.one()
-        work = []
-        for v in [one] + gen_vecs:
-            if basis.insert(v) is not None:
-                work.append(v)
+        object.__setattr__(self, "gens", tuple(gen_vecs))
+        basis = Subspace(field, precision)
+        work = [v for v in [{0: field.one()}] + gen_vecs if basis.insert(v)]
         while work:
             v = work.pop()
             for g in gen_vecs:
                 prod = _mul_series(v, g, field, precision)
-                reduced = basis.reduce(prod)
-                if any(reduced):
-                    basis.insert(prod)
+                if basis.insert(prod):
                     work.append(prod)
         object.__setattr__(self, "basis", basis)
 
@@ -250,13 +184,8 @@ class TruncatedSubalgebra:
         """Pivot valuations below the certified window."""
         return [p for p in self.basis.pivots() if p < self.window]
 
-    def contains(self, series_or_vec):
-        v = (
-            series_vector(series_or_vec, self.field, self.precision)
-            if isinstance(series_or_vec, dict)
-            else list(series_or_vec)
-        )
-        return self.basis.contains(v)
+    def contains(self, series):
+        return self.basis.contains(series_vector(series, self.field, self.precision))
 
     def contains_t_power(self, j):
         return self.contains({j: 1})
@@ -352,13 +281,7 @@ class QuadraticExtensionModel:
         if disc < 0:
             return False
         num, den = disc.numerator, disc.denominator
-        r = int(num**0.5)
-        while r * r < num:
-            r += 1
-        s = int(den**0.5)
-        while s * s < den:
-            s += 1
-        return r * r == num and s * s == den
+        return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 
     def alpha_mul(self, pair):
         """alpha * (a + b alpha) = b*u + (a + b*v) alpha."""
@@ -370,53 +293,34 @@ class QuadraticExtensionModel:
 def _quad_vec(model, terms):
     """terms: {(j, part): coeff} with part 0 for t^j, 1 for alpha t^j."""
     f = model.base
-    v = [f.zero()] * (2 * model.precision)
-    for (j, part), c in terms.items():
-        if j < model.precision:
-            v[2 * j + part] = f.of(c)
-    return v
+    v = {2 * j + part: f.of(c) for (j, part), c in terms.items() if j < model.precision}
+    return {k: c for k, c in v.items() if c}
 
 
 def _quad_mul_t(model, vec):
-    f = model.base
-    out = [f.zero()] * len(vec)
-    out[2:] = vec[:-2]
-    return out
+    return {k + 2: x for k, x in vec.items() if k + 2 < 2 * model.precision}
 
 
 def _quad_mul_alpha(model, vec):
-    f = model.base
-    out = [f.zero()] * len(vec)
-    for j in range(model.precision):
-        pair = (vec[2 * j], vec[2 * j + 1])
-        a, b = model.alpha_mul(pair)
-        out[2 * j] = a
-        out[2 * j + 1] = b
+    out = {}
+    for j in {k // 2 for k in vec}:
+        pair = (vec.get(2 * j, 0), vec.get(2 * j + 1, 0))
+        for part, x in enumerate(model.alpha_mul(pair)):
+            if x:
+                out[2 * j + part] = x
     return out
 
 
 def quadratic_extension_closure(model):
     """The subalgebra P = k0[[t, alpha t]] inside the truncated V."""
-    f = model.base
-    width = 2 * model.precision
-    basis = _Echelon(f, width)
-    one = _quad_vec(model, {(0, 0): 1})
-    t = _quad_vec(model, {(1, 0): 1})
-    at = _quad_vec(model, {(1, 1): 1})
-    gens = [t, at]
-    work = []
-    for v in [one, t, at]:
-        if basis.insert(v) is not None:
-            work.append(v)
+    basis = Subspace(model.base, 2 * model.precision)
+    gens = [_quad_vec(model, {(0, 0): 1}), _quad_vec(model, {(1, 0): 1}),
+            _quad_vec(model, {(1, 1): 1})]
+    work = [v for v in gens if basis.insert(v)]
     while work:
-        v = work.pop()
-        for g_name, g in (("t", t), ("at", at)):
-            if g_name == "t":
-                prod = _quad_mul_t(model, v)
-            else:
-                prod = _quad_mul_alpha(model, _quad_mul_t(model, v))
-            if any(basis.reduce(prod)):
-                basis.insert(prod)
+        tv = _quad_mul_t(model, work.pop())
+        for prod in (tv, _quad_mul_alpha(model, tv)):
+            if basis.insert(prod):
                 work.append(prod)
     return basis
 
@@ -429,10 +333,10 @@ def quadratic_extension_checks(model, margin=DEFAULT_MARGIN):
     P = quadratic_extension_closure(model)
 
     # V = P + alpha P on the window
-    combined = _Echelon(f, width)
+    combined = Subspace(f, width)
     for row in P.rows.values():
-        combined.insert(list(row))
-        combined.insert(_quad_mul_alpha(model, list(row)))
+        combined.insert(row)
+        combined.insert(_quad_mul_alpha(model, row))
     v_equals = all(
         combined.contains(_quad_vec(model, {(j, part): 1}))
         for j in range(window)
@@ -477,152 +381,59 @@ def cone_model_checks(
     """Verify conductor and socle claims for A = P + sB on the window.
 
     B is modeled on N*M coordinates t^e s^j.  The conductor of A in B is
-    computed by honest linear algebra ({a : a g in A} over the t-power
-    module generators g = t^e, multiplication by s lands in sB <= A
-    automatically) and compared with the closed form (t^c) + sB coming
-    from the conductor exponent of P.  Socle dimensions of B/A and of
-    V/P are computed separately and compared.
+    computed by honest linear algebra ({b : b t^e in A} over the t-power
+    module generators t^e, e < window; e = 0 asks b in A, and
+    multiplication by s lands in sB <= A automatically) and compared with
+    the closed form (t^c) + sB coming from the conductor exponent of P.
+    Socle dimensions of B/A and of V/P are computed separately and
+    compared.
     """
     P = subalgebra_closure(p_gens, field, precision, margin)
     c = P.conductor_exponent()
     window = P.window
-    f = field
-    N, M = precision, s_precision
+    N, width = precision, precision * s_precision
+    one = field.one()
 
-    def idx(e, j):
-        return j * N + e
-
-    width = N * M
+    def times_unit(series_vec, i):
+        """The series times the unit t^e s^j at coordinate i = j * N + e."""
+        return {i + k: y for k, y in series_vec.items() if i % N + k < N}
 
     # A = P + sB as a subspace
-    a_basis = _Echelon(f, width)
-    for row in P.basis.rows.values():
-        vec = [f.zero()] * width
-        vec[:N] = list(row)
-        a_basis.insert(vec)
-    for j in range(1, M):
-        for e in range(N):
-            vec = [f.zero()] * width
-            vec[idx(e, j)] = f.one()
-            a_basis.insert(vec)
+    s_units = [{i: one} for i in range(N, width)]
+    a_basis = Subspace(field, width, list(P.basis.rows.values()) + s_units)
 
-    def mul_by_t_power(vec, k):
-        out = [f.zero()] * width
-        for j in range(M):
-            for e in range(N - k):
-                x = vec[idx(e, j)]
-                if x:
-                    out[idx(e + k, j)] = f.add(out[idx(e + k, j)], x)
-        return out
-
-    def mul_by_s(vec):
-        out = [f.zero()] * width
-        for j in range(M - 1):
-            for e in range(N):
-                x = vec[idx(e, j)]
-                if x:
-                    out[idx(e, j + 1)] = f.add(out[idx(e, j + 1)], x)
-        return out
-
-    # conductor: {a in A : a * t^e in A for all e < window}; multiplication
-    # by s lands in sB <= A and adds no constraint.  Columns index A-basis.
-    a_rows = [list(r) for r in a_basis.rows.values()]
-    cols = a_rows
-    constraint_rows = []
-    for e in range(window):
-        reduced = [a_basis.reduce(mul_by_t_power(acol, e)) for acol in cols]
-        for r in range(width):
-            row = [reduced[j][r] for j in range(len(cols))]
-            if any(row):
-                constraint_rows.append(row)
-    sol = nullspace(constraint_rows, len(cols), f)
-
-    # closed form: (t^c)V + sB inside A-coordinates
-    closed = _Echelon(f, width)
-    for e in range(c, N):
-        vec = [f.zero()] * width
-        vec[idx(e, 0)] = f.one()
-        closed.insert(vec)
-    for j in range(1, M):
-        for e in range(N):
-            vec = [f.zero()] * width
-            vec[idx(e, j)] = f.one()
-            closed.insert(vec)
-
-    computed = _Echelon(f, width)
-    for coeffs in sol.rows:
-        vec = [f.zero()] * width
-        for ci, x in enumerate(coeffs):
-            if x:
-                for k in range(width):
-                    vec[k] = f.add(vec[k], f.mul(x, cols[ci][k]))
-        computed.insert(vec)
+    computed = preimage(
+        [([times_unit({e: one}, i) for i in range(width)], a_basis) for e in range(window)],
+        width,
+        field,
+    )
+    # closed form: (t^c)V + sB
+    closed = Subspace(field, width, [{e: one} for e in range(c, N)] + s_units)
 
     # Two-way comparison.  Containment in the closed form is a support
     # condition (s^0 coordinates must sit at exponents >= c), so it is
     # exact for every computed basis vector; the reverse direction is
     # checked on the t-power units below the certified window.
-    conductor_matches = True
-    for row in computed.rows.values():
-        if any(row[idx(e, 0)] for e in range(c)):
-            conductor_matches = False
-    for e in range(window):
-        for j in range(M):
-            vec = [f.zero()] * width
-            vec[idx(e, j)] = f.one()
-            if closed.contains(vec) != computed.contains(vec):
-                conductor_matches = False
+    conductor_matches = all(
+        i >= c for row in computed.rows.values() for i in row
+    ) and all(
+        closed.contains({i: one}) == computed.contains({i: one})
+        for i in range(width)
+        if i % N < window
+    )
 
     # socle of B/A: {b : g b in A for all maximal-ideal generators g}
-    gen_vecs = [series_vector(g, f, N) for g in p_gens]
-    def mul_by_series(vec, series_vec):
-        out = [f.zero()] * width
-        for j in range(M):
-            seg = vec[j * N : (j + 1) * N]
-            prod = _mul_series(seg, series_vec, f, N)
-            for e, x in enumerate(prod):
-                if x:
-                    out[idx(e, j)] = f.add(out[idx(e, j)], x)
-        return out
+    gen_vecs = [series_vector(g, field, N) for g in p_gens]
+    blocks = [([times_unit(g, i) for i in range(width)], a_basis) for g in gen_vecs]
+    s_times = [{i + N: one} if i + N < width else {} for i in range(width)]
+    blocks.append((s_times, a_basis))
+    socle_ba = preimage(blocks, width, field).dim - a_basis.dim
 
-    unit_cols = []
-    for k in range(width):
-        vec = [f.zero()] * width
-        vec[k] = f.one()
-        unit_cols.append(vec)
-    soc_rows = []
-    for g in gen_vecs:
-        reduced = [a_basis.reduce(mul_by_series(u, g)) for u in unit_cols]
-        for r in range(width):
-            row = [reduced[j][r] for j in range(width)]
-            if any(row):
-                soc_rows.append(row)
-    reduced_s = [a_basis.reduce(mul_by_s(u)) for u in unit_cols]
-    for r in range(width):
-        row = [reduced_s[j][r] for j in range(width)]
-        if any(row):
-            soc_rows.append(row)
-    w_space = nullspace(soc_rows, width, f)
-    dim_a = len(a_rows)
-    socle_ba = w_space.dim - dim_a
-
-    # socle of V/P in the V-model alone
-    v_width = N
-    p_rows = [list(r) for r in P.basis.rows.values()]
-    v_units = []
-    for k in range(v_width):
-        vec = [f.zero()] * v_width
-        vec[k] = f.one()
-        v_units.append(vec)
-    vp_rows = []
-    for g in gen_vecs:
-        reduced = [P.basis.reduce(_mul_series(u, g, f, v_width)) for u in v_units]
-        for r in range(v_width):
-            row = [reduced[j][r] for j in range(v_width)]
-            if any(row):
-                vp_rows.append(row)
-    wv = nullspace(vp_rows, v_width, f)
-    socle_vp = wv.dim - len(p_rows)
+    # socle of V/P in the V-model alone (V's units are the s^0 units)
+    wv = preimage(
+        [([times_unit(g, k) for k in range(N)], P.basis) for g in gen_vecs], N, field
+    )
+    socle_vp = wv.dim - P.basis.dim
 
     return {
         "conductor_exponent": c,

@@ -2,7 +2,8 @@
 
 These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
-complexes, and exhaustive prime enumeration for minimal primes.
+complexes, exhaustive prime enumeration for minimal primes, and a dense
+echelon (the engine's original one) as the reference for the sparse one.
 """
 
 from itertools import combinations
@@ -83,3 +84,120 @@ def sieve_semigroup(gens, limit):
     for x in range(1, limit + 1):
         table[x] = any(g <= x and table[x - g] for g in gens)
     return table
+
+
+# -- dense reference for linalg.Subspace / linalg.nullspace --------------
+
+
+class DenseSubspace:
+    """A subspace of field^ambient, kept as a fully reduced echelon basis.
+
+    Basis rows have pivot entry 1, pivots strictly increasing, and every
+    pivot column is zero in all other rows, so two Subspace objects are
+    equal iff they describe the same subspace.
+    """
+
+    __slots__ = ("field", "ambient", "rows", "pivots")
+
+    def __init__(self, field, ambient, vectors=()):
+        self.field = field
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def reduce(self, v):
+        """Residual of v after eliminating all basis pivots."""
+        f = self.field
+        v = [f.of(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c:
+                for j in range(p, self.ambient):
+                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        return v
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    def insert(self, v):
+        """Add v to the span; returns True if the dimension grew."""
+        f = self.field
+        r = self.reduce(v)
+        piv = next((j for j, x in enumerate(r) if x), None)
+        if piv is None:
+            return False
+        inv = f.inv(r[piv])
+        r = [f.mul(inv, x) for x in r]
+        # keep the basis fully reduced
+        for row in self.rows:
+            c = row[piv]
+            if c:
+                for j in range(piv, self.ambient):
+                    row[j] = f.sub(row[j], f.mul(c, r[j]))
+        k = 0
+        while k < len(self.pivots) and self.pivots[k] < piv:
+            k += 1
+        self.rows.insert(k, r)
+        self.pivots.insert(k, piv)
+        return True
+
+    def contains_subspace(self, other):
+        return all(self.contains(r) for r in other.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, DenseSubspace):
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.ambient == other.ambient
+            and self.pivots == other.pivots
+            and self.rows == other.rows
+        )
+
+    def __repr__(self):
+        return f"DenseSubspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def dense_nullspace(rows, ncols, field):
+    """Solution space of rows * x = 0 as a DenseSubspace of field^ncols."""
+    f = field
+    m = [[f.of(x) for x in r] for r in rows]
+    nr = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nr):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                fac = m[i][c]
+                m[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for c in free:
+        v = [f.zero()] * ncols
+        v[c] = f.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = f.neg(m[i][c])
+        basis.append(v)
+    return DenseSubspace(field, ncols, basis)

@@ -36,6 +36,14 @@ def test_verify_bad_field_exits_two():
     assert res.exit_code == 2
 
 
+def test_verify_negative_degree_bound_exits_two():
+    # degree bound -1 leaves no degree to verify: an input error, not a PASS
+    res = run("verify", "two-planes", "--degree-bound", "-1")
+    assert res.exit_code == 2
+    assert "PASS" not in res.output
+    assert "degree bound -1" in res.output
+
+
 def test_verify_tampered_expected_exits_one(monkeypatch):
     data = registry.load_registry()
     for entry in data["families"]:

@@ -186,14 +186,6 @@ def test_betti_overlap_family_pd_five():
     assert projective_dimension(ideal, QQ) == 5
 
 
-def test_betti_jobs_independent():
-    ctx = make_context(5)
-    ideal = MonomialIdeal.from_strings(ctx, ["x1*x2", "x2*x3", "x3*x4", "x4*x5"])
-    t1 = graded_betti(ideal, QQ, jobs=1)
-    t3 = graded_betti(ideal, QQ, jobs=3)
-    assert t1.entries == t3.entries
-
-
 def test_betti_export():
     t = graded_betti(MonomialIdeal.from_strings(CTX2, ["x", "y"]), QQ)
     data = t.to_json()

@@ -1,8 +1,21 @@
-from fractions import Fraction
-
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from ccalab.linalg import GF, QQ, FieldSpec, Subspace, nullspace, parse_field, rank
+from ccalab.linalg import (
+    GF,
+    QQ,
+    FieldSpec,
+    Subspace,
+    nullspace,
+    parse_field,
+    preimage,
+    rank,
+)
+
+from oracles import DenseSubspace, dense_nullspace
+
+FIELDS = (QQ, GF(2), GF(3), GF(5))
 
 
 def test_field_spec_rejects_composite():
@@ -41,20 +54,9 @@ def test_rank_random_cross_check():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        r_bareiss = rank(m, QQ)
-        # plain Fraction elimination as the independent oracle
-        work = [[Fraction(x) for x in row] for row in m]
-        r = 0
-        for c in range(cols):
-            piv = next((i for i in range(r, rows) if work[i][c]), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(r + 1, rows):
-                f = work[i][c] / work[r][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            r += 1
-        assert r_bareiss == r
+        # the dense Fraction / mod-p echelon as the independent oracle
+        for field in (QQ, GF(2), GF(3)):
+            assert rank(m, field) == DenseSubspace(field, cols, m).dim
 
 
 def test_subspace_canonical_equality():
@@ -86,3 +88,76 @@ def test_nullspace_mod_p():
     sol = nullspace([[1, 1]], 2, GF(2))
     assert sol.dim == 1
     assert sol.contains([1, 1])
+
+
+# -- the sparse echelon against the dense reference ----------------------------
+
+
+@st.composite
+def systems(draw):
+    """A field, a width, a few generating rows and a few probe vectors."""
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    return field, ncols, draw(st.lists(vec, max_size=7)), draw(st.lists(vec, max_size=4))
+
+
+def dense(field, ncols, v):
+    out = [field.zero()] * ncols
+    for j, x in v.items():
+        out[j] = field.of(x)
+    return out
+
+
+def canonical_rows(space):
+    return [dense(space.field, space.ambient, space.rows[p]) for p in space.pivots()]
+
+
+@seed(2111_13338)
+@settings(max_examples=400, deadline=None, database=None)
+@given(systems())
+def test_sparse_echelon_matches_dense_oracle(system):
+    field, ncols, rows, probes = system
+    space = Subspace(field, ncols)
+    ref = DenseSubspace(field, ncols)
+    for r in rows:
+        assert space.insert(r) == ref.insert(r)
+    assert space.dim == ref.dim
+    assert space.pivots() == ref.pivots
+    assert canonical_rows(space) == ref.rows
+    # canonical: another generating set of the same space compares equal
+    sums = [[a + b for a, b in zip(r, s)] for r, s in zip(rows, rows[1:])] + rows[-1:]
+    assert Subspace(field, ncols, reversed(sums)) == space
+    for v in probes:
+        assert dense(field, ncols, space.reduce(v)) == ref.reduce(v)
+        assert space.contains(v) == ref.contains(v)
+    assert canonical_rows(nullspace(rows, ncols, field)) == dense_nullspace(rows, ncols, field).rows
+
+
+@seed(2111_13338)
+@settings(max_examples=200, deadline=None, database=None)
+@given(systems())
+def test_preimage_matches_dense_oracle(system):
+    # two blocks: the probes and their reverse as the columns of two maps,
+    # landing in the spans of the two halves of the rows
+    field, ncols, rows, probes = system
+    probes = probes or [[0] * ncols]
+    half = len(rows) // 2
+    blocks = [(probes, rows[:half]), (probes[::-1], rows[half:])]
+    got = preimage(
+        [([dict(enumerate(c)) for c in cols], Subspace(field, ncols, span))
+         for cols, span in blocks],
+        len(probes),
+        field,
+    )
+    residual_rows = []
+    for cols, span in blocks:
+        ref = DenseSubspace(field, ncols, span)
+        residuals = [ref.reduce(c) for c in cols]
+        residual_rows += [[res[r] for res in residuals] for r in range(ncols)]
+    kernel = dense_nullspace(residual_rows, len(probes), field)
+    assert canonical_rows(got) == kernel.rows
+
+
+def test_preimage_without_blocks_is_the_whole_space():
+    assert preimage([], 3, GF(3)) == Subspace(GF(3), 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccalab.errors import InfiniteLengthError
+from ccalab.errors import InfiniteLengthError, PrecisionError
 from ccalab.monomial import MonomialIdeal, VarContext, make_context
 from ccalab.polys import p_linear, p_mono
 from ccalab.pullback import (
@@ -13,7 +13,6 @@ from ccalab.pullback import (
     colon_in_B,
     conductor,
     conductor_is_irrelevant_primary,
-    image_membership,
     regular_sequence_on_B,
     verify_generation,
 )
@@ -74,7 +73,7 @@ def test_from_json_both_modes():
 
 def test_diagonal_membership_with_witness(two_planes):
     belt = BElement.from_T(two_planes, p_linear(4, [0]))
-    inside, witness = image_membership(two_planes, belt)
+    inside, witness = belt.in_A()
     assert inside
     assert witness == {(1, 0, 0, 0): Fraction(1)}
 
@@ -82,7 +81,7 @@ def test_diagonal_membership_with_witness(two_planes):
 def test_overlap_membership_single_component(overlap6):
     # x5 lies in the second and third primes, so (x5, 0, 0) is the image of x5
     belt = BElement(overlap6, (p_linear(6, [4]), {}, {}))
-    inside, witness = image_membership(overlap6, belt)
+    inside, witness = belt.in_A()
     assert inside
     assert witness == {(0, 0, 0, 0, 1, 0): Fraction(1)}
 
@@ -119,6 +118,16 @@ def test_conductor_overlap_is_max_ideal(overlap6):
 
 def test_conductor_congruence_returns_q(fiber_x1sq):
     assert conductor(fiber_x1sq) == fiber_x1sq.q
+
+
+def test_conductor_is_computed_once_per_family(monkeypatch):
+    fam = PullbackFamily.from_json(
+        {"vars": ["X", "Y", "Z", "W"], "F": [["X", "Y"], ["Z", "W"]]}
+    )
+    first = conductor(fam)
+    # a corrupted direct path would now disagree: the checked result is reused
+    monkeypatch.setattr(BElement, "in_A", lambda self: (True, {}))
+    assert conductor(fam) is first
 
 
 def test_conductor_not_always_irrelevant_primary():
@@ -210,6 +219,18 @@ def test_colon_default_bound(two_planes):
     res = colon_in_B(two_planes, GradedSubmodule.unit_A(two_planes), m)
     assert res.bound == 1 + 4
     assert "degree 5" in res.note
+
+
+def test_colon_bound_below_generator_degree_is_rejected(two_planes):
+    # an empty or too short degree range must never read as "all of B"
+    m = MonomialIdeal.from_support(CTX4, CTX4.names)
+    sub_a = GradedSubmodule.unit_A(two_planes)
+    for bound in (-1, -5):
+        with pytest.raises(PrecisionError):
+            colon_in_B(two_planes, sub_a, m, bound=bound)
+    with pytest.raises(PrecisionError):
+        colon_in_B(two_planes, sub_a, m * m, bound=1)
+    assert colon_in_B(two_planes, sub_a, m * m, bound=2).bound == 2
 
 
 # -- generation and regular sequences ---------------------------------------------------

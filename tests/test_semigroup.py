@@ -56,6 +56,18 @@ def test_gcd_must_be_one():
         NumericalSemigroup((4, 6))
 
 
+def test_apery_against_independent_sieve():
+    for gens in [(3, 4), (5, 7, 9), (41, 43)]:
+        h = NumericalSemigroup(gens)
+        table = sieve_semigroup(gens, 4 * 41 * 43)
+        # the last m is a member past the Frobenius number
+        for m in (min(gens), max(gens), h.conductor() + 7):
+            apery = h.apery(m)
+            for r in range(m):
+                least = next(x for x in range(r, len(table), m) if table[x])
+                assert apery[r] == least
+
+
 def test_gaps_against_independent_sieve():
     for gens in [(3, 5), (5, 7, 9), (4, 9), (6, 10, 15)]:
         h = NumericalSemigroup(gens)
@@ -176,6 +188,16 @@ def test_quadratic_extension_rejects_degenerate():
         QuadraticExtensionModel(GF(3), u=1, v=0)
     with pytest.raises(ValueError):
         QuadraticExtensionModel(QQ, u=0, v=2)  # x(x - 2) splits
+
+
+def test_quadratic_extension_root_test_is_exact():
+    # alpha = 10^16 + 1 is rational, but a float square root misses it
+    big = 10**16 + 1
+    with pytest.raises(ValueError):
+        QuadraticExtensionModel(QQ, u=big**2, v=0)
+    with pytest.raises(ValueError):
+        QuadraticExtensionModel(QQ, u=4 * big**2 - 1, v=2)
+    QuadraticExtensionModel(QQ, u=big**2 + 1, v=0)  # a non-square stays a field
 
 
 # -- cone models --------------------------------------------------------------------
