@@ -2,8 +2,10 @@
 
 Exit codes: 0 when every claim passes (informational entries count as
 passes), 1 on any claim mismatch, 2 on input errors such as an unknown
-example id.  Reports are byte-identical for a fixed (seed, config,
-version) triple.
+example id, 3 on an internal failure of `verify` or `suite` (two
+computation paths disagreeing, or any exception that is not an engine
+error), reported in one `internal error:` line.  Reports are
+byte-identical for a fixed (seed, config, version) triple.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import sys
 
 import click
 
-from .errors import CCAError
+from .errors import CCAError, MethodDisagreementError
 from .linalg import parse_field
 from .registry import UnknownExampleError, example_ids, run_example
 from .report import merge_reports, reports_json_text
@@ -30,6 +32,12 @@ from .suites import run_all_suites
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
+
+
+def _exit_internal(exc):
+    click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(EXIT_INTERNAL_ERROR)
 
 
 def _emit(reports, fmt):
@@ -75,9 +83,13 @@ def verify(ids, field_text, degree_bound, fmt):
         except UnknownExampleError:
             click.echo(f"error: unknown example id {eid!r}", err=True)
             sys.exit(EXIT_INPUT_ERROR)
+        except MethodDisagreementError as exc:
+            _exit_internal(exc)
         except CCAError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INPUT_ERROR)
+        except Exception as exc:
+            _exit_internal(exc)
     sys.exit(_emit(reports, fmt))
 
 
@@ -96,7 +108,10 @@ def suite(seed, trials, field_text, fmt):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
-    reports = run_all_suites(seed=seed, trials=trials, field=field)
+    try:
+        reports = run_all_suites(seed=seed, trials=trials, field=field)
+    except Exception as exc:  # the suites draw their own inputs: any escape is a bug
+        _exit_internal(exc)
     summary = merge_reports(
         "property-suites", reports, config={"seed": seed, "trials": trials}
     )

@@ -38,8 +38,12 @@ class FieldSpec:
         return self.p == 0
 
     def of(self, x):
-        """Coerce an int (or Fraction, over Q) into the field."""
+        """Coerce an int or a Fraction into the field; a/b is a * b^-1 over F_p."""
         if self.p:
+            if isinstance(x, Fraction):
+                if x.denominator % self.p == 0:
+                    raise ValueError(f"{x} has no image in F{self.p}")
+                return x.numerator * pow(x.denominator, -1, self.p) % self.p
             return int(x) % self.p
         return x if isinstance(x, Fraction) else Fraction(x)
 

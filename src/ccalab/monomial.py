@@ -421,7 +421,7 @@ class MonomialIdeal:
             out.append(
                 (
                     MonomialPrime(self.context, mask),
-                    reduce(lambda a, b: a.intersect(b), groups[mask]),
+                    intersect_all(groups[mask]),
                 )
             )
         return out
@@ -438,7 +438,7 @@ class MonomialIdeal:
             return self
         minimal = {p.mask for p in self.minimal_primes()}
         parts = [q for p, q in self.primary_decomposition() if p.mask in minimal]
-        return reduce(lambda a, b: a.intersect(b), parts)
+        return intersect_all(parts)
 
     def height_and_dim(self):
         """(height, dim) of the ideal in the ambient polynomial ring."""
@@ -558,7 +558,7 @@ def _irredundant(components):
         changed = False
         for i in range(len(comps)):
             others = comps[:i] + comps[i + 1 :]
-            inter = reduce(lambda a, b: a.intersect(b), others)
+            inter = intersect_all(others)
             if comps[i].contains_ideal(inter):
                 comps.pop(i)
                 changed = True

@@ -176,37 +176,22 @@ class PullbackFamily:
         return len(self.basis_B(d))
 
     def dim_A(self, d):
-        if self.mode == CONGRUENCE:
-            total = len(monomials_of_degree(self.context.n, d))
-            in_q = sum(
-                1
-                for e in monomials_of_degree(self.context.n, d)
-                if self.q.contains(Monomial(e))
-            )
-            return total + in_q
-        defn = self.defining_ideal()
-        return sum(
-            1
-            for e in monomials_of_degree(self.context.n, d)
-            if not defn.contains(Monomial(e))
-        )
+        return len(self.basis_A_elements(d))
 
     def basis_A_elements(self, d):
-        """BElements spanning A_d, in a basis adapted to membership tests."""
+        """BElements spanning A_d, in a basis adapted to membership tests.
+
+        x^e is nonzero in A iff it survives in some component.  In
+        congruence mode x^e in q splits into (x^e, 0) and (0, x^e).
+        """
         out = []
-        if self.mode == CONGRUENCE:
-            for e in monomials_of_degree(self.context.n, d):
-                p = {e: Fraction(1)}
-                if self.q.contains(Monomial(e)):
-                    out.append(BElement(self, (p, {})))
-                    out.append(BElement(self, ({}, p)))
-                else:
-                    out.append(BElement.from_T(self, p))
-        else:
-            defn = self.defining_ideal()
-            for e in monomials_of_degree(self.context.n, d):
-                if not defn.contains(Monomial(e)):
-                    out.append(BElement.from_T(self, {e: Fraction(1)}))
+        for e in monomials_of_degree(self.context.n, d):
+            if not self.surviving(e):
+                continue
+            if self.mode == CONGRUENCE and self.q.contains(Monomial(e)):
+                out.extend(BElement.unit(self, i, e) for i in range(2))
+            else:
+                out.append(BElement.from_T(self, {e: Fraction(1)}))
         return out
 
     def __repr__(self):
@@ -407,19 +392,7 @@ def conductor(fam, pad=2):
             # basis, so testing basis vectors computes the exact subspace.
             if all(b.component(i).in_A()[0] for i in range(fam.ell)):
                 direct.insert(b.vector(d))
-        closed = Subspace(QQ, fam.dim_B(d))
-        if fam.mode == CONGRUENCE:
-            for e in monomials_of_degree(fam.context.n, d):
-                if fam.q.contains(Monomial(e)):
-                    p = {e: Fraction(1)}
-                    closed.insert(BElement(fam, (p, {})).vector(d))
-                    closed.insert(BElement(fam, ({}, p)).vector(d))
-        else:
-            for e in monomials_of_degree(fam.context.n, d):
-                if formula.contains(Monomial(e)):
-                    belt = BElement.from_T(fam, {e: Fraction(1)})
-                    if not belt.is_zero():
-                        closed.insert(belt.vector(d))
+        closed = monomial_span(fam, formula, d)
         if direct != closed:
             raise MethodDisagreementError(
                 f"conductor paths disagree in degree {d}: "
@@ -427,6 +400,40 @@ def conductor(fam, pad=2):
             )
     fam._basis_cache[key] = formula
     return formula
+
+
+def monomial_components(fam, monomials):
+    """The nonzero x^g e_i over the monomials g: a monomial ideal in B."""
+    return [
+        BElement.unit(fam, i, g.exps) for g in monomials for i in fam.surviving(g.exps)
+    ]
+
+
+def monomial_span(fam, ideal, d):
+    """Degree-d piece of the B-ideal generated by a monomial ideal of T."""
+    n = fam.context.n
+    members = [Monomial(e) for e in monomials_of_degree(n, d) if ideal.contains(Monomial(e))]
+    span = Subspace(QQ, fam.dim_B(d))
+    for b in monomial_components(fam, members):
+        span.insert(b.vector(d))
+    return span
+
+
+def lift_failures(fam, a, ideal):
+    """The components j where a e_j is not in A, or lifts to T outside the ideal.
+
+    a is a T-polynomial.  Congruence membership has no lift: there a e_j
+    in A already puts a in q, which is the conductor.
+    """
+    belt = BElement.from_T(fam, a)
+    out = []
+    for j in range(fam.ell):
+        inside, witness = belt.component(j).in_A()
+        if not inside:
+            out.append((j, "not in A"))
+        elif witness is not None and not p_in_ideal(witness, ideal):
+            out.append((j, "witness escapes the ideal"))
+    return out
 
 
 def conductor_is_irrelevant_primary(fam):
@@ -498,14 +505,7 @@ def cokernel_profile(fam):
         hilbert.pop()
     # the conductor annihilates B/A by definition; verify on basis elements
     ann_ok = True
-    cond_elements = []
-    if fam.mode == CONGRUENCE:
-        for g in cond.gens:
-            p = p_of_monomial(g)
-            cond_elements.append(BElement(fam, (p, {})))
-            cond_elements.append(BElement(fam, ({}, p)))
-    else:
-        cond_elements = [BElement.from_T(fam, p_of_monomial(g)) for g in cond.gens]
+    cond_elements = monomial_components(fam, cond.gens)
     for d0, codim in enumerate(hilbert):
         if codim == 0:
             continue
@@ -550,6 +550,14 @@ class GradedSubmodule:
         return cls(fam, [BElement.from_T(fam, p_of_monomial(Monomial.one(fam.context.n)))])
 
     @classmethod
+    def multiples(cls, fam, polys):
+        """sum a B over the T-polynomials a, generated over A by the a e_i."""
+        return cls(
+            fam,
+            [BElement.from_T(fam, a).component(i) for a in polys for i in range(fam.ell)],
+        )
+
+    @classmethod
     def all_B(cls, fam):
         return cls(fam, [BElement.idempotent(fam, i) for i in range(fam.ell)])
 
@@ -559,12 +567,17 @@ class GradedSubmodule:
             return got
         fam = self.family
         space = Subspace(QQ, fam.dim_B(d))
+        by_degree = {}
         for g in self.gens:
-            e = g.degree()
+            by_degree.setdefault(g.degree(), []).append(g)
+        # one A-piece alive at a time, fetched once per generator degree
+        for e in sorted(by_degree):
             if e > d:
-                continue
-            for a in fam.basis_A_elements(d - e):
-                space.insert((a * g).vector(d))
+                break
+            basis = fam.basis_A_elements(d - e)
+            for g in by_degree[e]:
+                for a in basis:
+                    space.insert((a * g).vector(d))
         self._pieces[d] = space
         return space
 
@@ -618,59 +631,22 @@ def colon_in_B(fam, x_submodule, ideal, bound=None):
 def verify_generation(fam, cond, elements):
     """Does sum a_i B equal the conductor, as subsets of A?
 
-    Containment <=: every a_i e_j lies in A (membership witness) and the
-    witness lies in the conductor ideal.  Containment >=: every conductor
-    generator is solved for inside the degree-matched piece of sum a_i B.
-    Elements must be homogeneous.
+    Containment <=: every a_i e_j lies in A and lifts into the conductor
+    ideal.  Containment >=: every conductor generator is solved for inside
+    the degree-matched piece of sum a_i B.  Elements must be homogeneous.
     """
     for a in elements:
         if p_degree(a) is None:
             raise ValueError("generation elements must be homogeneous and nonzero")
     details = {"forward": [], "reverse": []}
-    ok = True
     for idx, a in enumerate(elements):
-        belt = BElement.from_T(fam, a)
-        for j in range(fam.ell):
-            piece = belt.component(j)
-            inside, witness = piece.in_A()
-            if not inside:
-                ok = False
-                details["forward"].append((idx, j, "not in A"))
-                continue
-            if fam.mode == CONGRUENCE:
-                good = all(p_in_ideal(p, fam.q) for p in piece.parts)
-            else:
-                good = p_in_ideal(witness, cond)
-            if not good:
-                ok = False
-                details["forward"].append((idx, j, "witness escapes conductor"))
-    targets = []
-    for g in cond.gens:
-        if fam.mode == CONGRUENCE:
-            p = p_of_monomial(g)
-            targets.append(BElement(fam, (p, {})))
-            targets.append(BElement(fam, ({}, p)))
-        else:
-            belt = BElement.from_T(fam, p_of_monomial(g))
-            if not belt.is_zero():
-                targets.append(belt)
-    for t in targets:
+        details["forward"].extend((idx, j, why) for j, why in lift_failures(fam, a, cond))
+    generated = GradedSubmodule.multiples(fam, elements)
+    for t in monomial_components(fam, cond.gens):
         e = t.degree()
-        if not multiples_piece(fam, elements, e).contains(t.vector(e)):
-            ok = False
+        if not generated.piece(e).contains(t.vector(e)):
             details["reverse"].append((repr(t), "not generated"))
-    return ok, details
-
-
-def multiples_piece(fam, elements, e):
-    """The degree-e piece of sum a B over the T-polynomials a, as a Subspace."""
-    span = Subspace(QQ, fam.dim_B(e))
-    for a in elements:
-        da = p_degree(a)
-        if da <= e:
-            for (i, m) in fam.basis_B(e - da):
-                span.insert(BElement.unit(fam, i, m).mul_T(a).vector(e))
-    return span
+    return not (details["forward"] or details["reverse"]), details
 
 
 def regular_sequence_on_B(fam, elements, bound):
@@ -683,14 +659,7 @@ def regular_sequence_on_B(fam, elements, bound):
         if p_degree(a) is None:
             raise ValueError("elements must be homogeneous and nonzero")
     for k, a in enumerate(elements):
-        prev = GradedSubmodule(
-            fam,
-            [
-                BElement.from_T(fam, b).component(i)
-                for b in elements[:k]
-                for i in range(fam.ell)
-            ],
-        )
+        prev = GradedSubmodule.multiples(fam, elements[:k])
         e = p_degree(a)
         for d in range(bound + 1):
             kernel = preimage(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import UnitIdealError, ZeroDivisorError
 from .monomial import (
@@ -24,13 +23,13 @@ from .monomial import (
     monomials_of_degree,
     quotient_height,
 )
-from .polys import p_degree, p_in_ideal, p_of_monomial
+from .polys import p_degree, p_of_monomial
 from .pullback import (
-    BElement,
     GradedSubmodule,
     colon_in_B,
     conductor,
-    multiples_piece,
+    lift_failures,
+    monomial_components,
     verify_generation,
 )
 
@@ -74,12 +73,7 @@ def unmixed_component_principal(ring, a):
     """
     if not ring.is_nonzerodivisor(a):
         raise ZeroDivisorError(f"{a!r} is a zerodivisor on the quotient")
-    lifted = MonomialIdeal(ring.context, [a]) + ring.defining
-    if lifted.is_unit():
-        return lifted
-    minimal = {p.mask for p in lifted.minimal_primes()}
-    parts = [q for p, q in lifted.primary_decomposition() if p.mask in minimal]
-    return reduce(lambda x, y: x.intersect(y), parts)
+    return (MonomialIdeal(ring.context, [a]) + ring.defining).unmixed_part()
 
 
 def s2_membership(ring, m, a):
@@ -198,15 +192,9 @@ def trace_ideal_check(fam, ideal, bound=None):
             return TraceVerdict(
                 Verdict.FAIL, None, None, "ideal escapes the conductor"
             )
-    for g in ideal.gens:
-        belt = BElement.from_T(fam, p_of_monomial(g))
-        for j in range(fam.ell):
-            piece = belt.component(j)
-            if piece.is_zero():
-                continue
-            inside, witness = piece.in_A()
-            if not inside or not p_in_ideal(witness, ideal + defining):
-                return TraceVerdict(Verdict.FAIL, None, None, "ideal not B-stable")
+    stable = ideal + defining
+    if any(lift_failures(fam, p_of_monomial(g), stable) for g in ideal.gens):
+        return TraceVerdict(Verdict.FAIL, None, None, "ideal not B-stable")
     if bound is None:
         return TraceVerdict(
             Verdict.PASS,
@@ -241,26 +229,14 @@ def s2_equals_B_test(fam, a, parameters=None):
         if not cond.contains(a):
             raise ValueError("element must lie in the conductor")
         U = unmixed_component_principal(ring, a)
-        # aB <= U: each a e_j lifts into U
-        belt = BElement.from_T(fam, p_of_monomial(a))
-        for j in range(fam.ell):
-            piece = belt.component(j)
-            if piece.is_zero():
-                continue
-            inside, witness = piece.in_A()
-            if not inside or not p_in_ideal(witness, U):
-                return False
+        # aB <= U: each a e_j lies in A and lifts into U
+        if lift_failures(fam, p_of_monomial(a), U):
+            return False
         # U <= aB: solve for each generator inside the degree-matched piece
-        da = a.degree()
-        for u in U.gens:
-            target = BElement.from_T(fam, p_of_monomial(u))
-            if target.is_zero():
-                continue
-            e = u.degree()
-            if e < da:
-                return False
-            span = multiples_piece(fam, [p_of_monomial(a)], e)
-            if not span.contains(target.vector(e)):
+        aB = GradedSubmodule.multiples(fam, [p_of_monomial(a)])
+        for t in monomial_components(fam, U.gens):
+            e = t.degree()
+            if not aB.piece(e).contains(t.vector(e)):
                 return False
         return True
     if parameters is None:

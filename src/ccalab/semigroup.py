@@ -230,8 +230,15 @@ class TruncatedSubalgebra:
         }
 
 
+def _check_margin(margin):
+    # a negative margin would stretch the window past the truncation
+    if margin < 0:
+        raise PrecisionError(f"margin {margin} is negative")
+
+
 def subalgebra_closure(gens, field, precision=DEFAULT_PRECISION, margin=DEFAULT_MARGIN):
     """Fixed-point closure of the span under multiplication by generators."""
+    _check_margin(margin)
     max_val = 0
     for g in gens:
         nonzero = [e for e, c in g.items() if c]
@@ -327,6 +334,7 @@ def quadratic_extension_closure(model):
 
 def quadratic_extension_checks(model, margin=DEFAULT_MARGIN):
     """The case-(3) verification data: V = P + alpha P, conductor, type."""
+    _check_margin(margin)
     f = model.base
     width = 2 * model.precision
     window = model.precision - margin

@@ -2,13 +2,18 @@
 
 These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
-complexes, exhaustive prime enumeration for minimal primes, and a dense
-echelon (the engine's original one) as the reference for the sparse one.
+complexes, exhaustive prime enumeration for minimal primes, a dense
+echelon (the engine's original one) as the reference for the sparse one,
+and the engine's original per-mode constructions of the pullback layer.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
+from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
+from ccalab.polys import p_degree
+from ccalab.pullback import CONGRUENCE, BElement
 
 
 def all_monomials_up_to(n, max_degree):
@@ -201,3 +206,53 @@ def dense_nullspace(rows, ncols, field):
             v[pc] = f.neg(m[i][c])
         basis.append(v)
     return DenseSubspace(field, ncols, basis)
+
+
+# -- per-mode reference constructions for the pullback layer ---------------
+
+
+def basis_A_by_defining_ideal(fam, d):
+    """A_d by membership in q (congruence) or in the defining ideal."""
+    out = []
+    if fam.mode == CONGRUENCE:
+        for e in monomials_of_degree(fam.context.n, d):
+            p = {e: Fraction(1)}
+            if fam.q.contains(Monomial(e)):
+                out.append(BElement(fam, (p, {})))
+                out.append(BElement(fam, ({}, p)))
+            else:
+                out.append(BElement.from_T(fam, p))
+    else:
+        defn = fam.defining_ideal()
+        for e in monomials_of_degree(fam.context.n, d):
+            if not defn.contains(Monomial(e)):
+                out.append(BElement.from_T(fam, {e: Fraction(1)}))
+    return out
+
+
+def multiples_by_B_basis(fam, elements, e):
+    """The degree-e piece of sum a B: a times every basis element of B."""
+    span = Subspace(QQ, fam.dim_B(e))
+    for a in elements:
+        da = p_degree(a)
+        if da <= e:
+            for (i, m) in fam.basis_B(e - da):
+                span.insert(BElement.unit(fam, i, m).mul_T(a).vector(e))
+    return span
+
+
+def closed_conductor_by_mode(fam, formula, d):
+    """Degree-d closed conductor: (x^e, 0) and (0, x^e) for x^e in q, or x^e."""
+    closed = Subspace(QQ, fam.dim_B(d))
+    for e in monomials_of_degree(fam.context.n, d):
+        if not formula.contains(Monomial(e)):
+            continue
+        p = {e: Fraction(1)}
+        if fam.mode == CONGRUENCE:
+            closed.insert(BElement(fam, (p, {})).vector(d))
+            closed.insert(BElement(fam, ({}, p)).vector(d))
+        else:
+            belt = BElement.from_T(fam, p)
+            if not belt.is_zero():
+                closed.insert(belt.vector(d))
+    return closed

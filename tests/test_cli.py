@@ -1,10 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from ccalab import registry
+from ccalab import cli, registry
 from ccalab.cli import main
+from ccalab.errors import MethodDisagreementError
 
 
 def run(*args):
@@ -110,3 +112,65 @@ def test_verify_all_via_registry():
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert len(payload["reports"]) == 3
+
+
+def test_subalgebra_negative_margin_exits_two():
+    # a negative margin would certify valuations past the truncation at t^20
+    res = run("subalgebra", "--gens", "t^4,t^6", "--prec", "20", "--margin", "-10")
+    assert res.exit_code == 2
+    assert "margin -10" in res.output
+    assert "window" not in res.output
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_internal_failures_exit_three(monkeypatch):
+    for exc in (MethodDisagreementError("paths disagree"), ValueError("bad entry")):
+        monkeypatch.setattr(cli, "run_example", _raise(exc))
+        res = run("verify", "kq-d2")
+        assert res.exit_code == 3
+        assert res.output == f"internal error: {type(exc).__name__}: {exc}\n"
+        monkeypatch.setattr(cli, "run_all_suites", _raise(exc))
+        res = run("suite", "--trials", "1")
+        assert res.exit_code == 3
+        assert res.output.startswith("internal error:")
+
+
+def _contract_cases():
+    """A seeded grid over the numeric and field options of three commands."""
+    rng = random.Random(0)
+    series = ["t^2+t^3", "t^4", "t^6", "t", "1", "0", "2t^5", "t^3-t^7", "t^0+t^9"]
+    fields = ["q", "f2", "fp:3", "fp:4", "r64"]
+    cases = []
+    for _ in range(70):
+        gens = [str(rng.randint(-2, 40)) for _ in range(rng.randint(1, 3))]
+        cases.append(["semigroup", "--gens", ",".join(gens)])
+    for _ in range(80):
+        gens = rng.sample(series, rng.randint(1, 3))
+        cases.append(
+            ["subalgebra", "--gens", ",".join(gens), "--field", rng.choice(fields),
+             "--prec", str(rng.randint(0, 60)), "--margin", str(rng.randint(-5, 20))]
+        )
+    for bound in range(-3, 7):
+        cases.append(
+            ["verify", "two-planes", "--field", fields[bound % len(fields)],
+             "--degree-bound", str(bound)]
+        )
+    return cases
+
+
+def test_exit_code_contract():
+    # every input ends in 0, 1 or 2 with at most a one-line message, never a traceback
+    bad = []
+    for args in _contract_cases():
+        res = run(*args)
+        crashed = res.exception is not None and not isinstance(res.exception, SystemExit)
+        message = res.output.strip().splitlines() if res.exit_code == 2 else []
+        if res.exit_code not in (0, 1, 2) or crashed or len(message) > 1:
+            bad.append((args, res.exit_code, res.output[-200:]))
+    assert not bad

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -21,6 +23,16 @@ FIELDS = (QQ, GF(2), GF(3), GF(5))
 def test_field_spec_rejects_composite():
     with pytest.raises(ValueError):
         FieldSpec(6)
+
+
+def test_field_spec_maps_fractions_over_fp():
+    # a/b is a * b^-1 mod p, not the truncated int(a/b)
+    assert GF(3).of(Fraction(1, 2)) == 2
+    assert GF(5).of(Fraction(-3, 4)) == 3
+    assert GF(7).of(Fraction(14, 1)) == 0
+    with pytest.raises(ValueError):
+        GF(3).of(Fraction(1, 3))
+    assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_parse_field():

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ccalab.errors import InfiniteLengthError, PrecisionError
+from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import MonomialIdeal, VarContext, make_context
-from ccalab.polys import p_linear, p_mono
+from ccalab.polys import p_linear, p_mono, p_of_monomial
 from ccalab.pullback import (
     BElement,
     GradedSubmodule,
@@ -13,9 +15,13 @@ from ccalab.pullback import (
     colon_in_B,
     conductor,
     conductor_is_irrelevant_primary,
+    monomial_span,
     regular_sequence_on_B,
     verify_generation,
 )
+from ccalab.suites import random_antichain, random_monomial_ideal
+
+import oracles
 
 CTX4 = VarContext(("X", "Y", "Z", "W"))
 
@@ -280,3 +286,47 @@ def test_stabilization_runtime_check(two_planes, overlap6, fiber_x1sq):
     for fam in (two_planes, overlap6, fiber_x1sq):
         prof = cokernel_profile(fam)
         assert not prof.hilbert or prof.hilbert[-1] != 0
+
+
+# -- differential tests against the per-mode reference constructions ----------------
+
+
+def _random_families(rng):
+    fams = []
+    while len(fams) < 30:
+        n = rng.randint(3, 6)
+        subsets = random_antichain(rng, n, rng.randint(2, 4))
+        if subsets is not None:
+            fams.append(
+                PullbackFamily.from_supports(
+                    make_context(n), [sorted(f"x{i+1}" for i in s) for s in subsets]
+                )
+            )
+    while len(fams) < 40:
+        ctx = make_context(rng.randint(2, 3))
+        q = random_monomial_ideal(rng, ctx, max_gens=3, max_deg=2)
+        if q.is_proper():
+            fams.append(PullbackFamily.congruence(q))
+    return fams
+
+
+def _span(fam, elements, d):
+    return Subspace(QQ, fam.dim_B(d), [b.vector(d) for b in elements])
+
+
+def test_merged_paths_match_reference_oracles():
+    rng = random.Random(11)
+    for fam in _random_families(rng):
+        cond = conductor(fam)
+        for d in range(cond.max_gen_degree() + 3):
+            ref = oracles.basis_A_by_defining_ideal(fam, d)
+            assert fam.dim_A(d) == len(ref)
+            assert _span(fam, fam.basis_A_elements(d), d) == _span(fam, ref, d)
+            closed = oracles.closed_conductor_by_mode(fam, cond, d)
+            assert monomial_span(fam, cond, d) == closed
+        n = fam.context.n
+        forms = [p_linear(n, rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
+        for polys in (forms, [p_of_monomial(g) for g in cond.gens]):
+            generated = GradedSubmodule.multiples(fam, polys)
+            for e in range(4):
+                assert generated.piece(e) == oracles.multiples_by_B_basis(fam, polys, e)

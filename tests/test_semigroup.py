@@ -150,6 +150,17 @@ def test_precision_guard():
         subalgebra_closure([{30: 1}, {31: 1}], QQ, 40, 10)
 
 
+def test_negative_margin_is_rejected():
+    # the window N - margin must not reach past the truncation at t^N
+    with pytest.raises(PrecisionError):
+        subalgebra_closure([{4: 1}, {6: 1}], QQ, 20, -10)
+    with pytest.raises(PrecisionError):
+        cone_model_checks([{3: 1}, {4: 1}], QQ, precision=24, s_precision=3, margin=-1)
+    model = QuadraticExtensionModel(QQ, u=-1, v=0, precision=20)
+    with pytest.raises(PrecisionError):
+        quadratic_extension_checks(model, margin=-1)
+
+
 def test_subalgebra_report_passes():
     rep = subalgebra_report(
         ["t^2+t^3", "t^4", "t^6"],
