@@ -67,6 +67,8 @@ class FieldSpec:
 
     def inv(self, a):
         if self.p:
+            if a % self.p == 0:
+                raise ZeroDivisionError(f"{a} has no inverse in F{self.p}")
             return pow(a, self.p - 2, self.p)
         return Fraction(1) / a
 

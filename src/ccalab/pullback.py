@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     ContextMismatchError,
@@ -54,7 +55,7 @@ _MAX_COKERNEL_DEGREE = 64
 class PullbackFamily:
     """A = T/(cap P_i) in (+) T/P_i, or a congruence pullback S x_{S/q} S."""
 
-    __slots__ = ("context", "mode", "primes", "q", "_basis_cache")
+    __slots__ = ("context", "mode", "primes", "q", "_free", "_basis_cache")
 
     def __init__(self, context, mode, primes=None, q=None):
         object.__setattr__(self, "context", context)
@@ -85,6 +86,12 @@ class PullbackFamily:
             object.__setattr__(self, "q", q)
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        full = (1 << context.n) - 1
+        if mode == CONGRUENCE:
+            free = (full, full)
+        else:
+            free = tuple(full & ~p.mask for p in primes)
+        object.__setattr__(self, "_free", free)
 
     def __setattr__(self, *a):
         raise AttributeError("PullbackFamily is immutable")
@@ -116,9 +123,8 @@ class PullbackFamily:
         return (1 << self.context.n) - 1
 
     def free_mask(self, i):
-        if self.mode == CONGRUENCE:
-            return self.full_mask()
-        return self.full_mask() & ~self.primes[i].mask
+        """The variables that are nonzero in component i."""
+        return self._free[i]
 
     def defining_ideal(self):
         """cap P_i in intersection mode (the ideal presenting A)."""
@@ -128,26 +134,15 @@ class PullbackFamily:
 
     def surviving(self, exps):
         """Components in which the monomial is nonzero."""
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
-        return [i for i in range(self.ell) if mask & ~self.free_mask(i) == 0]
+        mask = _support_mask(exps)
+        return [i for i, free in enumerate(self._free) if mask & ~free == 0]
 
     def reduce_poly(self, i, poly):
         """Image of a T-polynomial in component i."""
         if self.mode == CONGRUENCE:
             return dict(poly)
-        bad = ~self.free_mask(i)
-        out = {}
-        for m, c in poly.items():
-            mask = 0
-            for k, e in enumerate(m):
-                if e:
-                    mask |= 1 << k
-            if mask & bad == 0:
-                out[m] = c
-        return out
+        bad = ~self._free[i]
+        return {m: c for m, c in poly.items() if _support_mask(m) & bad == 0}
 
     # -- graded bases -------------------------------------------------------
 
@@ -176,29 +171,50 @@ class PullbackFamily:
         return len(self.basis_B(d))
 
     def dim_A(self, d):
-        return len(self.basis_A_elements(d))
+        return len(self.basis_A(d))
 
-    def basis_A_elements(self, d):
-        """BElements spanning A_d, in a basis adapted to membership tests.
+    def basis_A(self, d):
+        """A basis of A_d as (e, components) pairs, in the order of the monomials.
 
-        x^e is nonzero in A iff it survives in some component.  In
+        The pair stands for the sum of x^e e_i over its components.  x^e is
+        nonzero in A iff it survives in some component, so the monomials
+        and their components are read off the cached basis_B(d).  In
         congruence mode x^e in q splits into (x^e, 0) and (0, x^e).
         """
+        comps = {}
+        for i, e in self.basis_B(d):
+            comps.setdefault(e, []).append(i)
         out = []
-        for e in monomials_of_degree(self.context.n, d):
-            if not self.surviving(e):
-                continue
+        for e in sorted(comps):
             if self.mode == CONGRUENCE and self.q.contains(Monomial(e)):
-                out.extend(BElement.unit(self, i, e) for i in range(2))
+                out.extend((e, (i,)) for i in comps[e])
             else:
-                out.append(BElement.from_T(self, {e: Fraction(1)}))
+                out.append((e, tuple(comps[e])))
         return out
+
+    def basis_A_elements(self, d):
+        """BElements spanning A_d, in a basis adapted to membership tests."""
+        return [
+            BElement(
+                self,
+                tuple({e: Fraction(1)} if i in comps else {} for i in range(self.ell)),
+            )
+            for e, comps in self.basis_A(d)
+        ]
 
     def __repr__(self):
         if self.mode == CONGRUENCE:
             return f"PullbackFamily(congruence, q={self.q!r})"
         supp = ", ".join(repr(p) for p in self.primes)
         return f"PullbackFamily({supp})"
+
+
+def _support_mask(exps):
+    mask = 0
+    for k, e in enumerate(exps):
+        if e:
+            mask |= 1 << k
+    return mask
 
 
 class BElement:
@@ -566,7 +582,9 @@ class GradedSubmodule:
         if got is not None:
             return got
         fam = self.family
-        space = Subspace(QQ, fam.dim_B(d))
+        index = fam.basis_index(d)
+        space = Subspace(QQ, len(index))
+        seen = set()
         by_degree = {}
         for g in self.gens:
             by_degree.setdefault(g.degree(), []).append(g)
@@ -574,10 +592,21 @@ class GradedSubmodule:
         for e in sorted(by_degree):
             if e > d:
                 break
-            basis = fam.basis_A_elements(d - e)
+            basis = fam.basis_A(d - e)
             for g in by_degree[e]:
-                for a in basis:
-                    space.insert((a * g).vector(d))
+                for m, comps in basis:
+                    # a is the sum of x^m e_i over comps, so a g is x^m times
+                    # g's parts there; x^m and every term of part i survive in
+                    # component i, hence so does their product
+                    v = {
+                        index[(i, tuple(map(add, m, mm)))]: c
+                        for i in comps
+                        for mm, c in g.parts[i].items()
+                    }
+                    key = frozenset(v.items())
+                    if v and key not in seen:
+                        seen.add(key)
+                        space.insert(v)
         self._pieces[d] = space
         return space
 

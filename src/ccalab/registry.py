@@ -77,6 +77,8 @@ def run_example(example_id, field=QQ, bound=None):
             trace_powers=tuple(params.get("trace_powers", ())),
             bound=bound,
         )
+        if not field.is_rationals:
+            rep.config["field"] = str(field)
     elif kind == "k_plus_q":
         rep = k_plus_q_report(_artinian(params), expected=expected, anchors=anchors)
     elif kind == "fiber_product":

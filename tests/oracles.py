@@ -230,6 +230,22 @@ def basis_A_by_defining_ideal(fam, d):
     return out
 
 
+def piece_by_belement_products(sub, d):
+    """Degree-d piece of a GradedSubmodule: every A-basis element times every generator.
+
+    The engine's original construction: each product is a BElement,
+    reduced per component, and inserted through its vector.
+    """
+    fam = sub.family
+    space = Subspace(QQ, fam.dim_B(d))
+    for g in sub.gens:
+        e = g.degree()
+        if e <= d:
+            for a in basis_A_by_defining_ideal(fam, d - e):
+                space.insert((a * g).vector(d))
+    return space
+
+
 def multiples_by_B_basis(fam, elements, e):
     """The degree-e piece of sum a B: a times every basis element of B."""
     span = Subspace(QQ, fam.dim_B(e))

@@ -69,6 +69,18 @@ def test_verify_json_output_is_deterministic():
         assert "anchor" in claim and "pass" in claim
 
 
+def test_verify_json_records_the_field():
+    outputs = {
+        f: run("verify", "two-planes", "--field", f, "--format", "json")
+        for f in ("q", "f2", "fp:3")
+    }
+    assert all(res.exit_code == 0 for res in outputs.values())
+    configs = {f: json.loads(res.output)["reports"][0]["config"] for f, res in outputs.items()}
+    # the default field keeps the bytes it always had
+    assert configs == {"q": {}, "f2": {"field": "F2"}, "fp:3": {"field": "F3"}}
+    assert len({res.output for res in outputs.values()}) == 3
+
+
 def test_suite_seeded_deterministic_and_minimal_run():
     a = run("suite", "--seed", "3", "--trials", "1", "--format", "json")
     b = run("suite", "--seed", "3", "--trials", "1", "--format", "json")

@@ -35,6 +35,13 @@ def test_field_spec_maps_fractions_over_fp():
     assert QQ.of(Fraction(1, 2)) == Fraction(1, 2)
 
 
+def test_field_spec_inverse_of_zero_raises():
+    for field, zero in ((QQ, 0), (GF(2), 0), (GF(3), 0), (GF(5), 5), (GF(5), -10)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+    assert GF(5).inv(7) == 3
+
+
 def test_parse_field():
     assert parse_field("q") == QQ
     assert parse_field("f2") == GF(2)

@@ -330,3 +330,42 @@ def test_merged_paths_match_reference_oracles():
             generated = GradedSubmodule.multiples(fam, polys)
             for e in range(4):
                 assert generated.piece(e) == oracles.multiples_by_B_basis(fam, polys, e)
+
+
+def test_piece_matches_belement_products():
+    rng = random.Random(23)
+    for fam in _random_families(rng):
+        for d in range(5):
+            ref = oracles.basis_A_by_defining_ideal(fam, d)
+            assert fam.basis_A_elements(d) == ref
+        n = fam.context.n
+        ideal = random_monomial_ideal(rng, fam.context, max_gens=3, max_deg=2)
+        forms = [p_linear(n, rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
+        subs = (
+            GradedSubmodule.from_ideal(fam, ideal),
+            GradedSubmodule.unit_A(fam),
+            GradedSubmodule.multiples(fam, forms),
+        )
+        for sub in subs:
+            for d in range(5):
+                assert sub.piece(d) == oracles.piece_by_belement_products(sub, d)
+
+
+def test_piece_inserts_each_product_once(monkeypatch):
+    fam = PullbackFamily.from_supports(
+        make_context(5), [["x1", "x2"], ["x2", "x3"], ["x4", "x5"]]
+    )
+    ideal = MonomialIdeal.from_strings(fam.context, ["x1", "x3", "x4", "x5^2", "x1*x4"])
+    calls = []
+    insert = Subspace.insert
+
+    def counting(self, v):
+        calls.append(v)
+        return insert(self, v)
+
+    monkeypatch.setattr(Subspace, "insert", counting)
+    for d in range(1, 5):
+        calls.clear()
+        GradedSubmodule.from_ideal(fam, ideal).piece(d)
+        monomials = {m for _, m in fam.basis_B(d)}
+        assert 0 < len(calls) <= len(monomials)
