@@ -55,12 +55,14 @@ _MAX_COKERNEL_DEGREE = 64
 class PullbackFamily:
     """A = T/(cap P_i) in (+) T/P_i, or a congruence pullback S x_{S/q} S."""
 
+    # _free[i]: the variables that are nonzero in component i
     __slots__ = ("context", "mode", "primes", "q", "_free", "_basis_cache")
 
     def __init__(self, context, mode, primes=None, q=None):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_basis_cache", {})
+        full = (1 << context.n) - 1
         if mode == INTERSECTION:
             primes = tuple(primes)
             # l = 1 is admitted as the degenerate A = B case
@@ -77,6 +79,7 @@ class PullbackFamily:
                         raise ValueError("component supports must form an antichain")
             object.__setattr__(self, "primes", primes)
             object.__setattr__(self, "q", None)
+            object.__setattr__(self, "_free", tuple(full & ~p.mask for p in primes))
         elif mode == CONGRUENCE:
             if q is None or q.is_unit():
                 raise ValueError("congruence mode needs a proper monomial ideal")
@@ -84,14 +87,9 @@ class PullbackFamily:
                 raise ContextMismatchError("q in wrong context")
             object.__setattr__(self, "primes", None)
             object.__setattr__(self, "q", q)
+            object.__setattr__(self, "_free", (full, full))
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        full = (1 << context.n) - 1
-        if mode == CONGRUENCE:
-            free = (full, full)
-        else:
-            free = tuple(full & ~p.mask for p in primes)
-        object.__setattr__(self, "_free", free)
 
     def __setattr__(self, *a):
         raise AttributeError("PullbackFamily is immutable")
@@ -117,14 +115,10 @@ class PullbackFamily:
 
     @property
     def ell(self):
-        return 2 if self.mode == CONGRUENCE else len(self.primes)
+        return len(self._free)
 
     def full_mask(self):
         return (1 << self.context.n) - 1
-
-    def free_mask(self, i):
-        """The variables that are nonzero in component i."""
-        return self._free[i]
 
     def defining_ideal(self):
         """cap P_i in intersection mode (the ideal presenting A)."""
@@ -153,7 +147,7 @@ class PullbackFamily:
         if got is None:
             got = []
             for i in range(self.ell):
-                for exps in monomials_of_degree(self.context.n, d, self.free_mask(i)):
+                for exps in monomials_of_degree(self.context.n, d, self._free[i]):
                     got.append((i, exps))
             got = tuple(got)
             self._basis_cache[key] = got
