@@ -93,7 +93,6 @@ def f_family_report(
     spec,
     field=QQ,
     expected=None,
-    anchors=None,
     parameters=None,
     trace_powers=(),
     bound=None,
@@ -105,11 +104,7 @@ def f_family_report(
     which the trace test runs on (max ideal)^l.
     """
     expected = expected or {}
-    anchors = anchors or {}
     rep = VerificationReport("f-family")
-
-    def anchor(cid, default):
-        return anchors.get(cid, default)
 
     fam = spec.family()
     defining = spec.defining_ideal()
@@ -119,13 +114,13 @@ def f_family_report(
     cond = conductor(fam)  # raises MethodDisagreementError on a path mismatch
     rep.assert_true(
         "conductor.two-path",
-        anchor("conductor.two-path", "A:B agrees between sum of J_i and direct solve"),
+        "A:B agrees between sum of J_i and direct solve",
         True,
     )
     if "conductor_gens" in expected:
         rep.check(
             "conductor.value",
-            anchor("conductor.value", "computed conductor generators"),
+            "computed conductor generators",
             sorted(expected["conductor_gens"]),
             sorted(g.format(spec.context) for g in cond.gens),
         )
@@ -133,7 +128,7 @@ def f_family_report(
         maxideal = MonomialIdeal.from_support(spec.context, spec.context.names)
         rep.check(
             "conductor.is-max-ideal",
-            anchor("conductor.is-max-ideal", "I = m"),
+            "I = m",
             expected["conductor_is_max_ideal"],
             cond == maxideal,
         )
@@ -145,58 +140,58 @@ def f_family_report(
     )
     rep.check(
         "height.pair-formula",
-        anchor("height.pair-formula", "ht_A I = min ht_A(p_i + p_j)"),
+        "ht_A I = min ht_A(p_i + p_j)",
         ht,
         pair_formula,
     )
     if spec.is_unmixed():
         rep.check(
             "height.setminus-formula",
-            anchor("height.setminus-formula", "ht_A I = min |F_i - F_j|"),
+            "ht_A I = min |F_i - F_j|",
             ht,
             spec.min_setminus(),
         )
     if "ht_I" in expected:
-        rep.check("height.I", anchor("height.I", "ht_A I"), expected["ht_I"], ht)
+        rep.check("height.I", "ht_A I", expected["ht_I"], ht)
 
     dim_a = dim_of_quotient(defining)
     rep.check(
         "dim.formula",
-        anchor("dim.formula", "dim A = n - min |F_i|"),
+        "dim A = n - min |F_i|",
         dim_a,
         n - min(len(s) for s in spec.subsets),
     )
     if "dim_A" in expected:
-        rep.check("dim.A", anchor("dim.A", "dim A"), expected["dim_A"], dim_a)
+        rep.check("dim.A", "dim A", expected["dim_A"], dim_a)
 
     depth_a = depth(defining, field)
     rep.check(
         "depth.two-routes",
-        anchor("depth.two-routes", "depth via Betti table equals depth via links"),
+        "depth via Betti table equals depth via links",
         depth_a,
         depth_via_local_cohomology(defining, field),
     )
     if "depth_A" in expected:
-        rep.check("depth.A", anchor("depth.A", "depth A"), expected["depth_A"], depth_a)
+        rep.check("depth.A", "depth A", expected["depth_A"], depth_a)
 
     if spec.is_unmixed():
         depth_b = min(depth(p, field) for p in primes)
         rep.check(
             "depth.B",
-            anchor("depth.B", "depth_A B = d"),
+            "depth_A B = d",
             dim_a,
             depth_b,
         )
         if spec.min_setminus() >= 2:
             rep.check(
                 "theorem.family-bounds",
-                anchor("theorem.family-bounds", "ht I >= 2 and 0 < depth A < d"),
+                "ht I >= 2 and 0 < depth A < d",
                 True,
                 ht >= 2 and 0 < depth_a < dim_a,
             )
             rep.info(
                 "canonical.module",
-                anchor("canonical.module", "K_A and B agree as A-modules"),
+                "K_A and B agree as A-modules",
                 "implied by the conductor/depth certificates; not recomputed",
             )
 
@@ -204,20 +199,20 @@ def f_family_report(
         vals = [depth(cond + p, field) for p in primes]
         rep.check(
             "depth.quotients",
-            anchor("depth.quotients", "depth A/(I + p_i) per component"),
+            "depth A/(I + p_i) per component",
             expected["depth_quotients"],
             vals,
         )
         rep.check(
             "depth.B-over-I",
-            anchor("depth.B-over-I", "depth_A B/I = min over components"),
+            "depth_A B/I = min over components",
             expected.get("depth_B_over_I", min(expected["depth_quotients"])),
             min(vals),
         )
     if "depth_A_over_I" in expected:
         rep.check(
             "depth.A-over-I",
-            anchor("depth.A-over-I", "depth A/I"),
+            "depth A/I",
             expected["depth_A_over_I"],
             depth(cond, field),
         )
@@ -227,10 +222,7 @@ def f_family_report(
         )
         rep.check(
             "conductor.pairwise-intersection",
-            anchor(
-                "conductor.pairwise-intersection",
-                "I equals the intersection of the pairwise prime sums",
-            ),
+            "I equals the intersection of the pairwise prime sums",
             expected["pairwise_intersection_identity"],
             cond == rhs,
         )
@@ -238,7 +230,7 @@ def f_family_report(
         rhs = _product_form_ideal(spec.context, expected["product_form"])
         rep.check(
             "conductor.product-form",
-            anchor("conductor.product-form", "closed product form of I"),
+            "closed product form of I",
             True,
             cond == rhs,
         )
@@ -248,20 +240,20 @@ def f_family_report(
         if "cokernel_length" in expected:
             rep.check(
                 "cokernel.length",
-                anchor("cokernel.length", "length of B/A"),
+                "length of B/A",
                 expected["cokernel_length"],
                 prof.length,
             )
         if "socle_dim" in expected:
             rep.check(
                 "cokernel.socle",
-                anchor("cokernel.socle", "socle dimension of B/A"),
+                "socle dimension of B/A",
                 expected["socle_dim"],
                 prof.socle_dim,
             )
         rep.assert_true(
             "cokernel.annihilated",
-            anchor("cokernel.annihilated", "the conductor kills B/A"),
+            "the conductor kills B/A",
             prof.annihilator_ok,
         )
 
@@ -269,7 +261,7 @@ def f_family_report(
     verdict = trace_ideal_check(fam, cond, bound=tb)
     rep.check(
         "trace.conductor",
-        anchor("trace.conductor", "the conductor is a trace ideal with I:I = B"),
+        "the conductor is a trace ideal with I:I = B",
         True,
         bool(verdict.is_trace) and verdict.endo_ring_is_B is not Verdict.FAIL,
         bound=tb,
@@ -283,10 +275,7 @@ def f_family_report(
         v = trace_ideal_check(fam, power, bound=ell + 3)
         rep.check(
             f"trace.max-ideal-power-{ell}",
-            anchor(
-                f"trace.max-ideal-power-{ell}",
-                f"m^{ell} is a trace ideal and B = m^{ell}:m^{ell}",
-            ),
+            f"m^{ell} is a trace ideal and B = m^{ell}:m^{ell}",
             True,
             bool(v.is_trace) and bool(v.endo_ring_is_B),
             bound=ell + 3,
@@ -298,13 +287,13 @@ def f_family_report(
         ok, _detail = verify_generation(fam, cond, forms)
         rep.check(
             "generation.parameters",
-            anchor("generation.parameters", "conductor = sum a_i B"),
+            "conductor = sum a_i B",
             expected.get("generation", True),
             ok,
         )
         rep.check(
             "sequence.B-regular",
-            anchor("sequence.B-regular", "the parameters form a B-regular sequence"),
+            "the parameters form a B-regular sequence",
             True,
             regular_sequence_on_B(fam, forms, 3),
             bound=3,
@@ -312,7 +301,7 @@ def f_family_report(
         if ok and expected.get("generation", True):
             rep.info(
                 "s2.hull-is-B",
-                anchor("s2.hull-is-B", "a_i B = U(a_i A) summed over i"),
+                "a_i B = U(a_i A) summed over i",
                 "equivalent to the verified conductor generation identity",
                 computed=True,
             )
@@ -386,7 +375,7 @@ def socle_and_type(q):
     return {"length": len(std), "socle_dim": len(socle)}
 
 
-def k_plus_q_report(q, expected=None, anchors=None):
+def k_plus_q_report(q, expected=None):
     """Hypothesis checks for the subring k + q of S (q a parameter ideal).
 
     Verifies the colength-two hypothesis, the socle type, and the derived
@@ -394,16 +383,12 @@ def k_plus_q_report(q, expected=None, anchors=None):
     implied, never recomputed.
     """
     expected = expected or {}
-    anchors = anchors or {}
     rep = VerificationReport("k-plus-q")
-
-    def anchor(cid, default):
-        return anchors.get(cid, default)
 
     n = q.context.n
     rep.check(
         "parameter-shape",
-        anchor("parameter-shape", "q is generated by d = dim S elements"),
+        "q is generated by d = dim S elements",
         True,
         len(q.ideal.gens) == n,
     )
@@ -411,34 +396,34 @@ def k_plus_q_report(q, expected=None, anchors=None):
     if "length" in expected:
         rep.check(
             "length",
-            anchor("length", "length of S/q"),
+            "length of S/q",
             expected["length"],
             st["length"],
         )
     rep.check(
         "hypothesis.length-two",
-        anchor("hypothesis.length-two", "length of S/q equals 2"),
+        "length of S/q equals 2",
         expected.get("hypothesis_length_two", True),
         st["length"] == 2,
     )
     if "socle_dim" in expected:
         rep.check(
             "socle-type",
-            anchor("socle-type", "Cohen-Macaulay type of S/q"),
+            "Cohen-Macaulay type of S/q",
             expected["socle_dim"],
             st["socle_dim"],
         )
     colength = len([m for m in q.standard_monomials() if m.degree() > 0])
     rep.check(
         "subring-colength",
-        anchor("subring-colength", "length of S/A is one less than length of S/q"),
+        "length of S/A is one less than length of S/q",
         st["length"] - 1,
         colength,
     )
     if "subring_colength" in expected:
         rep.check(
             "subring-colength.value",
-            anchor("subring-colength.value", "length of S/A"),
+            "length of S/A",
             expected["subring_colength"],
             colength,
         )
@@ -450,42 +435,38 @@ def k_plus_q_report(q, expected=None, anchors=None):
     )
     rep.assert_true(
         "conductor-surrogate",
-        anchor("conductor-surrogate", "q S = q, so S embeds in m:m"),
+        "q S = q, so S embeds in m:m",
         stable,
     )
     rep.info(
         "endo-ring",
-        anchor("endo-ring", "m:m = S"),
+        "m:m = S",
         "reverse inclusion holds by normality of the ambient ring; not recomputed",
     )
     if st["length"] == 2 and expected.get("hypothesis_length_two", True):
         rep.info(
             "rees.gorenstein",
-            anchor("rees.gorenstein", "the blowup of Q^d along k + q is Gorenstein"),
+            "the blowup of Q^d along k + q is Gorenstein",
             "implied by the verified hypothesis chain; not recomputed",
         )
     return rep
 
 
-def fiber_product_report(q, expected=None, anchors=None, parameters=None):
+def fiber_product_report(q, expected=None, parameters=None):
     """Claims for the congruence pullback A = S x_{S/q} S inside B = S x S."""
     expected = expected or {}
-    anchors = anchors or {}
     rep = VerificationReport("fiber-product")
-
-    def anchor(cid, default):
-        return anchors.get(cid, default)
 
     fam = PullbackFamily.congruence(q.ideal)
     cond = conductor(fam)
     rep.assert_true(
         "conductor.two-path",
-        anchor("conductor.two-path", "A:B = qB, agreed by both computation paths"),
+        "A:B = qB, agreed by both computation paths",
         True,
     )
     rep.check(
         "conductor.equals-qB",
-        anchor("conductor.equals-qB", "A:B = Ann_A(S/q) = qB"),
+        "A:B = Ann_A(S/q) = qB",
         True,
         cond == q.ideal,
     )
@@ -493,39 +474,39 @@ def fiber_product_report(q, expected=None, anchors=None, parameters=None):
     st = socle_and_type(q)
     rep.check(
         "cokernel.length-vs-ring",
-        anchor("cokernel.length-vs-ring", "length of B/A equals length of S/q"),
+        "length of B/A equals length of S/q",
         st["length"],
         prof.length,
     )
     if "length" in expected:
         rep.check(
             "cokernel.length",
-            anchor("cokernel.length", "length of B/A"),
+            "length of B/A",
             expected["length"],
             prof.length,
         )
     rep.check(
         "cokernel.socle-vs-ring",
-        anchor("cokernel.socle-vs-ring", "socle of B/A matches the socle of S/q"),
+        "socle of B/A matches the socle of S/q",
         st["socle_dim"],
         prof.socle_dim,
     )
     if "type_r" in expected:
         rep.check(
             "type.r",
-            anchor("type.r", "r_A(B/A) = r(S/q)"),
+            "r_A(B/A) = r(S/q)",
             expected["type_r"],
             prof.socle_dim,
         )
     rep.check(
         "hypothesis.r-is-one",
-        anchor("hypothesis.r-is-one", "r_A(B/A) = 1"),
+        "r_A(B/A) = 1",
         expected.get("hypothesis_r_is_one", True),
         prof.socle_dim == 1,
     )
     rep.assert_true(
         "cokernel.annihilated",
-        anchor("cokernel.annihilated", "qB kills B/A"),
+        "qB kills B/A",
         prof.annihilator_ok,
     )
     if parameters:
@@ -533,14 +514,14 @@ def fiber_product_report(q, expected=None, anchors=None, parameters=None):
         ok, _detail = verify_generation(fam, cond, forms)
         rep.check(
             "generation.alphas",
-            anchor("generation.alphas", "qB = sum alpha_i B for alpha_i = (a_i, a_i)"),
+            "qB = sum alpha_i B for alpha_i = (a_i, a_i)",
             expected.get("generation", True),
             ok,
         )
     if prof.socle_dim == 1 and expected.get("hypothesis_r_is_one", True):
         rep.info(
             "rees.gorenstein",
-            anchor("rees.gorenstein", "the blowup of Q^d along A is Gorenstein"),
+            "the blowup of Q^d along A is Gorenstein",
             "implied by the verified hypothesis chain; not recomputed",
         )
     return rep

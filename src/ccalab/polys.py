@@ -11,10 +11,6 @@ from fractions import Fraction
 from .monomial import Monomial
 
 
-def p_zero():
-    return {}
-
-
 def p_mono(exps, coeff=1):
     c = Fraction(coeff)
     return {tuple(exps): c} if c else {}
@@ -58,13 +54,6 @@ def p_sub(a, b):
     return out
 
 
-def p_scale(a, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: c * x for m, x in a.items()}
-
-
 def p_mul(a, b):
     out = {}
     for ma, ca in a.items():
@@ -76,10 +65,6 @@ def p_mul(a, b):
             else:
                 out.pop(key, None)
     return out
-
-
-def p_mul_mono(a, exps):
-    return {tuple(x + y for x, y in zip(m, exps)): c for m, c in a.items()}
 
 
 def p_is_zero(a):

@@ -42,7 +42,6 @@ from .polys import (
     p_is_zero,
     p_mul,
     p_of_monomial,
-    p_scale,
     p_sub,
 )
 
@@ -233,14 +232,6 @@ class BElement:
         return cls(family, tuple(poly for _ in range(family.ell)))
 
     @classmethod
-    def idempotent(cls, family, i):
-        one = {(0,) * family.context.n: Fraction(1)}
-        return cls(
-            family,
-            tuple(one if j == i else {} for j in range(family.ell)),
-        )
-
-    @classmethod
     def unit(cls, family, i, m):
         """The basis element of B: monomial m in component i."""
         return cls(
@@ -281,9 +272,6 @@ class BElement:
             self.family,
             tuple(p_add(a, b) for a, b in zip(self.parts, other.parts)),
         )
-
-    def scale(self, c):
-        return BElement(self.family, tuple(p_scale(p, c) for p in self.parts))
 
     def is_zero(self):
         return all(p_is_zero(p) for p in self.parts)
@@ -566,10 +554,6 @@ class GradedSubmodule:
             fam,
             [BElement.from_T(fam, a).component(i) for a in polys for i in range(fam.ell)],
         )
-
-    @classmethod
-    def all_B(cls, fam):
-        return cls(fam, [BElement.idempotent(fam, i) for i in range(fam.ell)])
 
     def piece(self, d):
         got = self._pieces.get(d)

@@ -3,12 +3,15 @@
 families.json carries, per instance, the construction parameters, the
 expected invariants, and an anchor string per claim (the mathematical
 statement the claim verifies).  run_example builds the instance, runs
-its verifier, and compares against the registry's expectations.
+its verifier, compares against the registry's expectations, and gives
+each claim the registry's anchor for its id; a builder called directly
+emits its own default anchors.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 
 from .families import (
@@ -20,6 +23,7 @@ from .families import (
 )
 from .linalg import QQ, parse_field
 from .monomial import MonomialIdeal, VarContext, make_context
+from .pullback import cokernel_profile
 from .semigroup import (
     QuadraticExtensionModel,
     quadratic_extension_report,
@@ -32,7 +36,9 @@ class UnknownExampleError(KeyError):
     pass
 
 
+@cache
 def load_registry():
+    """The parsed families.json, read once per process; callers must not mutate it."""
     text = resources.files("ccalab.data").joinpath("families.json").read_text()
     return json.loads(text)
 
@@ -66,13 +72,11 @@ def run_example(example_id, field=QQ, bound=None):
     kind = entry["kind"]
     params = entry["params"]
     expected = entry.get("expected", {})
-    anchors = entry.get("anchors", {})
     if kind == "f_family":
         rep = f_family_report(
             _f_family_spec(params),
             field=field,
             expected=expected,
-            anchors=anchors,
             parameters=params.get("parameters"),
             trace_powers=tuple(params.get("trace_powers", ())),
             bound=bound,
@@ -80,12 +84,11 @@ def run_example(example_id, field=QQ, bound=None):
         if not field.is_rationals:
             rep.config["field"] = str(field)
     elif kind == "k_plus_q":
-        rep = k_plus_q_report(_artinian(params), expected=expected, anchors=anchors)
+        rep = k_plus_q_report(_artinian(params), expected=expected)
     elif kind == "fiber_product":
         rep = fiber_product_report(
             _artinian(params),
             expected=expected,
-            anchors=anchors,
             parameters=params.get("parameters"),
         )
         cross = params.get("crosscheck_f_family")
@@ -94,18 +97,13 @@ def run_example(example_id, field=QQ, bound=None):
                 VarContext(tuple(cross["vars"])),
                 tuple(frozenset(s) for s in cross["subsets"]),
             )
-            from .pullback import cokernel_profile
-
             prof = cokernel_profile(spec.family())
             fiber_length = next(
                 c.computed for c in rep.claims if c.claim_id == "cokernel.length-vs-ring"
             )
             rep.check(
                 "crosscheck.intersection-presentation",
-                anchors.get(
-                    "crosscheck.intersection-presentation",
-                    "the congruence pullback and the two-component presentation agree",
-                ),
+                "the congruence pullback and the two-component presentation agree",
                 fiber_length,
                 prof.length,
             )
@@ -116,7 +114,6 @@ def run_example(example_id, field=QQ, bound=None):
             precision=params.get("precision", 40),
             margin=params.get("margin", 10),
             expected=expected,
-            anchors=anchors,
         )
     elif kind == "cone":
         rep = semigroup_cone_report(
@@ -126,7 +123,6 @@ def run_example(example_id, field=QQ, bound=None):
             s_precision=params.get("s_precision", 3),
             margin=params.get("margin", 6),
             expected=expected,
-            anchors=anchors,
             semigroup_gens=params.get("semigroup"),
         )
     elif kind == "quadratic_extension":
@@ -140,11 +136,13 @@ def run_example(example_id, field=QQ, bound=None):
             model,
             margin=params.get("margin", 6),
             expected=expected,
-            anchors=anchors,
         )
     else:
         raise UnknownExampleError(f"unknown kind {kind!r} for {example_id!r}")
     rep.subject = example_id
+    anchors = entry.get("anchors", {})
+    for c in rep.claims:
+        c.anchor = anchors.get(c.claim_id, c.anchor)
     for note in entry.get("notes", ()):
         rep.info("registry.note", "", note)
     return rep

@@ -18,6 +18,7 @@ from math import gcd, isqrt
 
 from .errors import PrecisionError
 from .linalg import QQ, FieldSpec, Subspace, preimage
+from .report import VerificationReport
 
 DEFAULT_PRECISION = 40
 DEFAULT_MARGIN = 10
@@ -463,19 +464,12 @@ def subalgebra_report(
     precision=DEFAULT_PRECISION,
     margin=DEFAULT_MARGIN,
     expected=None,
-    anchors=None,
 ):
     """Valuation-pattern claims for the subalgebra generated in k[t]/(t^N)."""
-    from .report import VerificationReport
-
     expected = expected or {}
-    anchors = anchors or {}
     rep = VerificationReport(
         "subalgebra", config={"field": str(field), "precision": precision, "margin": margin}
     )
-
-    def anchor(cid, default):
-        return anchors.get(cid, default)
 
     gens = [parse_t_series(t) for t in gens_text]
     P = subalgebra_closure(gens, field, precision, margin)
@@ -483,21 +477,21 @@ def subalgebra_report(
     for j in expected.get("valuations_present", ()):
         rep.check(
             f"valuation.{j}-present",
-            anchor(f"valuation.{j}-present", f"{j} lies in v(P)"),
+            f"{j} lies in v(P)",
             True,
             j in vals,
         )
     for j in expected.get("valuations_absent", ()):
         rep.check(
             f"valuation.{j}-absent",
-            anchor(f"valuation.{j}-absent", f"{j} does not lie in v(P)"),
+            f"{j} does not lie in v(P)",
             True,
             j not in vals,
         )
     for j in expected.get("t_powers_present", ()):
         rep.check(
             f"t-power.{j}-present",
-            anchor(f"t-power.{j}-present", f"t^{j} lies in P"),
+            f"t^{j} lies in P",
             True,
             P.contains_t_power(j),
             bound=P.window,
@@ -505,7 +499,7 @@ def subalgebra_report(
     for j in expected.get("t_powers_absent", ()):
         rep.check(
             f"t-power.{j}-absent",
-            anchor(f"t-power.{j}-absent", f"t^{j} does not lie in P"),
+            f"t^{j} does not lie in P",
             True,
             not P.contains_t_power(j),
             bound=P.window,
@@ -515,7 +509,7 @@ def subalgebra_report(
         pattern = [x for x in range(P.window) if h.contains(x)]
         rep.check(
             "value-semigroup",
-            anchor("value-semigroup", "v(P) matches the stated numerical semigroup"),
+            "v(P) matches the stated numerical semigroup",
             pattern,
             vals,
             bound=P.window,
@@ -523,7 +517,7 @@ def subalgebra_report(
     if "conductor_exponent" in expected:
         rep.check(
             "conductor-exponent",
-            anchor("conductor-exponent", "P:V = t^c V with the stated c"),
+            "P:V = t^c V with the stated c",
             expected["conductor_exponent"],
             P.conductor_exponent(),
             bound=P.window,
@@ -531,7 +525,7 @@ def subalgebra_report(
         )
         rep.assert_true(
             "conductor-certified",
-            anchor("conductor-certified", "the window certifies the conductor exponent"),
+            "the window certifies the conductor exponent",
             P.conductor_certified(),
         )
     return rep
@@ -544,7 +538,6 @@ def semigroup_cone_report(
     s_precision=3,
     margin=6,
     expected=None,
-    anchors=None,
     semigroup_gens=None,
 ):
     """Cone-model claims for A = P + sB: conductor window and socle match.
@@ -552,17 +545,11 @@ def semigroup_cone_report(
     When semigroup_gens is given, P is the semigroup ring and the
     numerical-semigroup invariants are verified alongside.
     """
-    from .report import VerificationReport
-
     expected = expected or {}
-    anchors = anchors or {}
     rep = VerificationReport(
         "semigroup-cone",
         config={"field": str(field), "precision": precision, "margin": margin},
     )
-
-    def anchor(cid, default):
-        return anchors.get(cid, default)
 
     if semigroup_gens:
         h = NumericalSemigroup(semigroup_gens)
@@ -570,14 +557,14 @@ def semigroup_cone_report(
         if "symmetric" in expected:
             rep.check(
                 "semigroup.symmetric",
-                anchor("semigroup.symmetric", "the value semigroup is symmetric"),
+                "the value semigroup is symmetric",
                 expected["symmetric"],
                 inv["symmetric"],
             )
         if "semigroup_conductor" in expected:
             rep.check(
                 "semigroup.conductor",
-                anchor("semigroup.conductor", "conductor of the value semigroup"),
+                "conductor of the value semigroup",
                 expected["semigroup_conductor"],
                 inv["conductor"],
             )
@@ -587,10 +574,7 @@ def semigroup_cone_report(
         )
         rep.assert_true(
             "semigroup.symmetry-direct",
-            anchor(
-                "semigroup.symmetry-direct",
-                "s in H iff F - s not in H, checked directly",
-            ),
+            "s in H iff F - s not in H, checked directly",
             direct if inv["frobenius"] >= 0 else True,
         )
     res = cone_model_checks(
@@ -603,23 +587,20 @@ def semigroup_cone_report(
     if "conductor_exponent" in expected:
         rep.check(
             "cone.conductor-exponent",
-            anchor("cone.conductor-exponent", "P:V = t^c V with the stated c"),
+            "P:V = t^c V with the stated c",
             expected["conductor_exponent"],
             res["conductor_exponent"],
             bound=res["window"],
         )
     rep.assert_true(
         "cone.conductor-window",
-        anchor(
-            "cone.conductor-window",
-            "A:B = (t^c) + sB on the certified window",
-        ),
+        "A:B = (t^c) + sB on the certified window",
         res["conductor_matches_closed_form"],
         bound=res["window"],
     )
     rep.check(
         "cone.socle-match",
-        anchor("cone.socle-match", "r_A(B/A) = r_P(V/P)"),
+        "r_A(B/A) = r_P(V/P)",
         res["socle_V_over_P"],
         res["socle_B_over_A"],
         bound=res["window"],
@@ -627,25 +608,22 @@ def semigroup_cone_report(
     if "type_r" in expected:
         rep.check(
             "cone.type",
-            anchor("cone.type", "r_A(B/A)"),
+            "r_A(B/A)",
             expected["type_r"],
             res["socle_B_over_A"],
             bound=res["window"],
         )
     rep.assert_true(
         "cone.certified",
-        anchor("cone.certified", "the window certifies the conductor exponent"),
+        "the window certifies the conductor exponent",
         res["conductor_certified"],
     )
     return rep
 
 
-def quadratic_extension_report(model, margin=DEFAULT_MARGIN, expected=None, anchors=None):
+def quadratic_extension_report(model, margin=DEFAULT_MARGIN, expected=None):
     """Claims for P = k0[[t, alpha t]] inside V = k[[t]], [k : k0] = 2."""
-    from .report import VerificationReport
-
     expected = expected or {}
-    anchors = anchors or {}
     rep = VerificationReport(
         "quadratic-extension",
         config={
@@ -655,30 +633,27 @@ def quadratic_extension_report(model, margin=DEFAULT_MARGIN, expected=None, anch
         },
     )
 
-    def anchor(cid, default):
-        return anchors.get(cid, default)
-
     res = quadratic_extension_checks(model, margin)
     rep.assert_true(
         "decomposition",
-        anchor("decomposition", "V = P + alpha P"),
+        "V = P + alpha P",
         res["v_equals_p_plus_alpha_p"],
         bound=res["window"],
     )
     rep.assert_true(
         "conductor",
-        anchor("conductor", "n V lies in P, so the conductor is the maximal ideal"),
+        "n V lies in P, so the conductor is the maximal ideal",
         res["maximal_ideal_times_v_in_p"],
         bound=res["window"],
     )
     rep.assert_true(
         "alpha-outside",
-        anchor("alpha-outside", "alpha does not lie in P"),
+        "alpha does not lie in P",
         res["alpha_not_in_p"],
     )
     rep.check(
         "type",
-        anchor("type", "r_P(V/P) = 1 from the degree-zero piece of V/P"),
+        "r_P(V/P) = 1 from the degree-zero piece of V/P",
         expected.get("cokernel_degree0_dim", 1),
         res["cokernel_degree0_dim"],
     )

@@ -1,10 +1,11 @@
+import copy
 import json
 import random
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from ccalab import cli, registry
+from ccalab import cli, registry, suites
 from ccalab.cli import main
 from ccalab.errors import MethodDisagreementError
 
@@ -47,7 +48,7 @@ def test_verify_negative_degree_bound_exits_two():
 
 
 def test_verify_tampered_expected_exits_one(monkeypatch):
-    data = registry.load_registry()
+    data = copy.deepcopy(registry.load_registry())
     for entry in data["families"]:
         if entry["id"] == "fiber-x1sq-d2":
             entry["expected"]["length"] = 99
@@ -151,6 +152,18 @@ def test_internal_failures_exit_three(monkeypatch):
         res = run("suite", "--trials", "1")
         assert res.exit_code == 3
         assert res.output.startswith("internal error:")
+
+
+def test_suite_bug_is_an_internal_error_not_a_disagreement(monkeypatch):
+    # only a disagreement of the two conductor paths is a failed trial
+    monkeypatch.setattr(suites, "conductor", _raise(MethodDisagreementError("paths disagree")))
+    res = run("suite", "--trials", "1")
+    assert res.exit_code == 1
+    assert "FAIL  suite-conductor-two-path.agreement.trials" in res.output
+    monkeypatch.setattr(suites, "conductor", _raise(ValueError("bug")))
+    res = run("suite", "--trials", "1")
+    assert res.exit_code == 3
+    assert res.output == "internal error: ValueError: bug\n"
 
 
 def _contract_cases():

@@ -1,12 +1,21 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from ccalab.errors import MethodDisagreementError
+from ccalab.families import fiber_product_report
 from ccalab.polys import p_from_json, p_to_json
 from ccalab.pullback import PullbackFamily, conductor
-from ccalab.registry import UnknownExampleError, example_ids, get_entry, run_example
+from ccalab.registry import (
+    UnknownExampleError,
+    _artinian,
+    example_ids,
+    get_entry,
+    load_registry,
+    run_example,
+)
 from ccalab.report import reports_json_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,11 +44,35 @@ def test_entries_carry_anchors_and_expected():
         assert isinstance(entry.get("anchors", {}), dict)
 
 
+@pytest.fixture(scope="module")
+def every_report():
+    return {eid: run_example(eid) for eid in example_ids()}
+
+
 def test_report_claims_carry_registry_anchors():
     rep = run_example("fiber-x1sq-d2")
     by_id = {c.claim_id: c.anchor for c in rep.claims}
     assert by_id["conductor.equals-qB"] == "A:B = Ann_A T = QB"
     assert by_id["type.r"] == "r_A(B/A) = r(T) = 1"
+    # a builder called directly keeps its default anchors
+    entry = get_entry("fiber-x1sq-d2")
+    direct = fiber_product_report(_artinian(entry["params"]), expected=entry["expected"])
+    by_id = {c.claim_id: c.anchor for c in direct.claims}
+    assert by_id["conductor.equals-qB"] == "A:B = Ann_A(S/q) = qB"
+    assert by_id["type.r"] == "r_A(B/A) = r(S/q)"
+
+
+def test_every_registry_anchor_names_an_emitted_claim(every_report):
+    for eid, rep in every_report.items():
+        emitted = {c.claim_id for c in rep.claims}
+        unmatched = set(get_entry(eid).get("anchors", {})) - emitted
+        assert not unmatched, f"{eid}: anchors for claims it never emits: {sorted(unmatched)}"
+
+
+def test_running_examples_leaves_the_registry_unchanged(every_report):
+    text = resources.files("ccalab.data").joinpath("families.json").read_text()
+    assert load_registry() == json.loads(text)
+    assert load_registry() is load_registry()
 
 
 def test_report_json_shape():
