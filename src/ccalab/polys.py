@@ -32,17 +32,6 @@ def p_linear(n, indices, coeffs=None):
     return out
 
 
-def p_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
 def p_sub(a, b):
     out = dict(a)
     for m, c in b.items():

@@ -40,6 +40,7 @@ from .polys import (
     p_degree,
     p_in_ideal,
     p_is_zero,
+    p_linear,
     p_mul,
     p_of_monomial,
     p_sub,
@@ -72,9 +73,9 @@ class PullbackFamily:
                     raise ContextMismatchError("prime in wrong context")
                 if a.mask == 0:
                     raise ValueError("components must be nonzero primes")
-            for a in primes:
-                for b in primes:
-                    if a is not b and a.mask & b.mask == a.mask:
+            for j, a in enumerate(primes):
+                for k, b in enumerate(primes):
+                    if j != k and a.mask & b.mask == a.mask:
                         raise ValueError("component supports must form an antichain")
             object.__setattr__(self, "primes", primes)
             object.__setattr__(self, "q", None)
@@ -239,10 +240,6 @@ class BElement:
             tuple({m: Fraction(1)} if j == i else {} for j in range(family.ell)),
         )
 
-    @classmethod
-    def zero(cls, family):
-        return cls(family, tuple({} for _ in range(family.ell)))
-
     def component(self, i):
         """Multiplication by the idempotent e_i: zero out the other parts."""
         return BElement(
@@ -250,27 +247,10 @@ class BElement:
             tuple(p if j == i else {} for j, p in enumerate(self.parts)),
         )
 
-    def mul_T(self, poly):
-        return BElement(
-            self.family,
-            tuple(
-                p_mul(part, self.family.reduce_poly(i, poly))
-                for i, part in enumerate(self.parts)
-            ),
-        )
-
     def __mul__(self, other):
         return BElement(
             self.family,
             tuple(p_mul(a, b) for a, b in zip(self.parts, other.parts)),
-        )
-
-    def __add__(self, other):
-        from .polys import p_add
-
-        return BElement(
-            self.family,
-            tuple(p_add(a, b) for a, b in zip(self.parts, other.parts)),
         )
 
     def is_zero(self):
@@ -312,7 +292,7 @@ class BElement:
 
     def __eq__(self, other):
         return (
-            isinstance(other, BElement)
+            other.__class__ is self.__class__
             and self.family is other.family
             and self.parts == other.parts
         )
@@ -324,17 +304,14 @@ class BElement:
         return f"({inner})"
 
 
-def mult_matrix(fam, multiplier, d, e):
-    """Sparse columns of multiplication B_d -> B_{d+e} by a degree-e multiplier.
+def mult_matrix(fam, poly, d, e):
+    """Sparse columns of multiplication B_d -> B_{d+e} by a degree-e T-polynomial.
 
-    The multiplier is a T-polynomial (acting diagonally) or a BElement.
-    Column j is the image of basis_B(d)[j] over the basis_B(d+e) indices.
+    The polynomial acts diagonally.  Column j is the image of basis_B(d)[j]
+    over the basis_B(d+e) indices.
     """
     target_index = fam.basis_index(d + e)
-    if isinstance(multiplier, BElement):
-        parts = multiplier.parts
-    else:
-        parts = [fam.reduce_poly(i, multiplier) for i in range(fam.ell)]
+    parts = [fam.reduce_poly(i, poly) for i in range(fam.ell)]
     return [
         {
             target_index[(i, tuple(x + y for x, y in zip(mm, m)))]: c
@@ -344,15 +321,17 @@ def mult_matrix(fam, multiplier, d, e):
     ]
 
 
-def stable_subspace(fam, d, multipliers):
-    """{v in B_d : g v in A for every multiplier g}, as a Subspace."""
-    a_pieces = GradedSubmodule.unit_A(fam)
+def stable_subspace(fam, x_submodule, multipliers, d):
+    """{v in B_d : g v in X_{d + deg g} for every multiplier g}, as a Subspace.
+
+    X is a GradedSubmodule and each multiplier a T-polynomial acting diagonally.
+    """
     blocks = []
     for g in multipliers:
-        e = g.degree() if isinstance(g, BElement) else p_degree(g)
+        e = p_degree(g)
         if e is None:
             raise ValueError("multipliers must be homogeneous and nonzero")
-        blocks.append((mult_matrix(fam, g, d, e), a_pieces.piece(d + e)))
+        blocks.append((mult_matrix(fam, g, d, e), x_submodule.piece(d + e)))
     return preimage(blocks, fam.dim_B(d), QQ)
 
 
@@ -408,12 +387,14 @@ def monomial_components(fam, monomials):
 
 
 def monomial_span(fam, ideal, d):
-    """Degree-d piece of the B-ideal generated by a monomial ideal of T."""
-    n = fam.context.n
-    members = [Monomial(e) for e in monomials_of_degree(n, d) if ideal.contains(Monomial(e))]
+    """Degree-d piece of the B-ideal generated by a monomial ideal of T.
+
+    The coordinate subspace of the x^e e_i in basis_B(d) with x^e in the ideal.
+    """
     span = Subspace(QQ, fam.dim_B(d))
-    for b in monomial_components(fam, members):
-        span.insert(b.vector(d))
+    for k, (_, e) in enumerate(fam.basis_B(d)):
+        if ideal.contains(Monomial(e)):
+            span.insert({k: 1})
     return span
 
 
@@ -476,10 +457,8 @@ def cokernel_profile(fam):
     cond = conductor(fam)
     if not conductor_is_irrelevant_primary(fam):
         raise InfiniteLengthError("conductor is not irrelevant-primary")
-    n = fam.context.n
-    variables = [
-        {tuple(1 if k == j else 0 for k in range(n)): Fraction(1)} for j in range(n)
-    ]
+    variables = [p_linear(fam.context.n, [j]) for j in range(fam.context.n)]
+    unit_A = GradedSubmodule.unit_A(fam)
     hilbert = []
     socle_total = 0
     d = 0
@@ -494,7 +473,7 @@ def cokernel_profile(fam):
             break
         hilbert.append(codim)
         if codim:
-            w = stable_subspace(fam, d, variables)
+            w = stable_subspace(fam, unit_A, variables, d)
             socle_total += w.dim - fam.dim_A(d)
         d += 1
         if d > _MAX_COKERNEL_DEGREE:
@@ -588,6 +567,14 @@ class GradedSubmodule:
         self._pieces[d] = space
         return space
 
+    def missing(self, ideal):
+        """The x^g e_i, over the generators g of the ideal, outside this submodule."""
+        return [
+            t
+            for t in monomial_components(self.family, ideal.gens)
+            if not self.piece(t.degree()).contains(t.vector(t.degree()))
+        ]
+
 
 @dataclass(frozen=True)
 class ColonResult:
@@ -624,14 +611,7 @@ def colon_in_B(fam, x_submodule, ideal, bound=None):
             f"{ideal.max_gen_degree()}"
         )
     gens = [p_of_monomial(g) for g in ideal.gens]
-    pieces = {}
-    for d in range(bound + 1):
-        # v is in the piece iff g v lies in X_{d+e} for every generator g
-        blocks = [
-            (mult_matrix(fam, g, d, p_degree(g)), x_submodule.piece(d + p_degree(g)))
-            for g in gens
-        ]
-        pieces[d] = preimage(blocks, fam.dim_B(d), QQ)
+    pieces = {d: stable_subspace(fam, x_submodule, gens, d) for d in range(bound + 1)}
     return ColonResult(pieces=pieces, bound=bound, note=f"verified up to degree {bound}")
 
 
@@ -649,10 +629,7 @@ def verify_generation(fam, cond, elements):
     for idx, a in enumerate(elements):
         details["forward"].extend((idx, j, why) for j, why in lift_failures(fam, a, cond))
     generated = GradedSubmodule.multiples(fam, elements)
-    for t in monomial_components(fam, cond.gens):
-        e = t.degree()
-        if not generated.piece(e).contains(t.vector(e)):
-            details["reverse"].append((repr(t), "not generated"))
+    details["reverse"].extend((repr(t), "not generated") for t in generated.missing(cond))
     return not (details["forward"] or details["reverse"]), details
 
 
@@ -660,19 +637,18 @@ def regular_sequence_on_B(fam, elements, bound):
     """Are the elements a B-regular sequence, degree-wise up to the bound?
 
     For each prefix, multiplication by the next element must be injective
-    on B / (previous elements) B in every degree <= bound.
+    on B / (previous elements) B in every degree <= bound.  A negative bound
+    raises PrecisionError: no degree would be checked.
     """
+    if bound < 0:
+        raise PrecisionError(f"degree bound {bound} is negative")
     for a in elements:
         if p_degree(a) is None:
             raise ValueError("elements must be homogeneous and nonzero")
     for k, a in enumerate(elements):
         prev = GradedSubmodule.multiples(fam, elements[:k])
-        e = p_degree(a)
         for d in range(bound + 1):
-            kernel = preimage(
-                [(mult_matrix(fam, a, d, e), prev.piece(d + e))], fam.dim_B(d), QQ
-            )
             # regular iff the kernel of multiplication is exactly prev B
-            if kernel != prev.piece(d):
+            if stable_subspace(fam, prev, [a], d) != prev.piece(d):
                 return False
     return True

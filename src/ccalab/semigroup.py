@@ -339,6 +339,9 @@ def quadratic_extension_checks(model, margin=DEFAULT_MARGIN):
     f = model.base
     width = 2 * model.precision
     window = model.precision - margin
+    # below 2 the n V <= P loop checks no degree, and below 1 neither loop does
+    if window < 2:
+        raise PrecisionError(f"window {window} = precision - margin is below 2")
     P = quadratic_extension_closure(model)
 
     # V = P + alpha P on the window

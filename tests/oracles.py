@@ -253,7 +253,7 @@ def multiples_by_B_basis(fam, elements, e):
         da = p_degree(a)
         if da <= e:
             for (i, m) in fam.basis_B(e - da):
-                span.insert(BElement.unit(fam, i, m).mul_T(a).vector(e))
+                span.insert((BElement.unit(fam, i, m) * BElement.from_T(fam, a)).vector(e))
     return span
 
 

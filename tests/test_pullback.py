@@ -5,9 +5,10 @@ import pytest
 
 from ccalab.errors import InfiniteLengthError, PrecisionError
 from ccalab.linalg import QQ, Subspace
-from ccalab.monomial import MonomialIdeal, VarContext, make_context
+from ccalab.monomial import MonomialIdeal, MonomialPrime, VarContext, make_context
 from ccalab.polys import p_linear, p_mono, p_of_monomial
 from ccalab.pullback import (
+    INTERSECTION,
     BElement,
     GradedSubmodule,
     PullbackFamily,
@@ -56,6 +57,10 @@ def fiber_x1sq():
 def test_antichain_enforced():
     with pytest.raises(ValueError):
         PullbackFamily.from_supports(CTX4, [["X", "Y"], ["X"]])
+    # one prime object passed twice is a repeated component, not an antichain
+    p = MonomialPrime(CTX4, CTX4.mask_of(["X", "Y"]))
+    with pytest.raises(ValueError):
+        PullbackFamily(CTX4, INTERSECTION, primes=(p, p))
 
 
 def test_congruence_needs_proper_ideal():
@@ -274,6 +279,9 @@ def test_regular_sequence(two_planes):
     assert regular_sequence_on_B(two_planes, [a, b], 3)
     # a, a is never regular: multiplication by a is zero on B/aB
     assert not regular_sequence_on_B(two_planes, [a, a], 2)
+    # a negative bound checks no degree, so it must not read as regular
+    with pytest.raises(PrecisionError):
+        regular_sequence_on_B(two_planes, [a, a], -1)
 
 
 def test_conductor_annihilates_cokernel(overlap6):
@@ -318,12 +326,17 @@ def test_merged_paths_match_reference_oracles():
     rng = random.Random(11)
     for fam in _random_families(rng):
         cond = conductor(fam)
+        # the oracle spans the diagonal x^e, which is the B-ideal only when no
+        # x^e survives in two components, as holds inside the conductor
+        inner = random_monomial_ideal(rng, fam.context, max_gens=3, max_deg=2)
+        inner = inner.intersect(cond)
         for d in range(cond.max_gen_degree() + 3):
             ref = oracles.basis_A_by_defining_ideal(fam, d)
             assert fam.dim_A(d) == len(ref)
             assert _span(fam, fam.basis_A_elements(d), d) == _span(fam, ref, d)
-            closed = oracles.closed_conductor_by_mode(fam, cond, d)
-            assert monomial_span(fam, cond, d) == closed
+            for formula in (cond, inner):
+                closed = oracles.closed_conductor_by_mode(fam, formula, d)
+                assert monomial_span(fam, formula, d) == closed
         n = fam.context.n
         forms = [p_linear(n, rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
         for polys in (forms, [p_of_monomial(g) for g in cond.gens]):

@@ -192,6 +192,15 @@ def test_quadratic_extension_f9():
     assert rep.passed()
 
 
+def test_quadratic_window_below_two_is_rejected():
+    # an empty window would let `decomposition` and `conductor` pass vacuously
+    model = QuadraticExtensionModel(QQ, u=-1, v=0, precision=24)
+    for margin in (30, 23):
+        with pytest.raises(PrecisionError):
+            quadratic_extension_report(model, margin=margin)
+    assert quadratic_extension_checks(model, margin=22)["window"] == 2
+
+
 def test_quadratic_extension_rejects_degenerate():
     with pytest.raises(ValueError):
         QuadraticExtensionModel(QQ, u=1, v=0)  # alpha^2 = 1
