@@ -4,7 +4,8 @@ These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
 complexes, exhaustive prime enumeration for minimal primes, a dense
 echelon (the engine's original one) as the reference for the sparse one,
-and the engine's original per-mode constructions of the pullback layer.
+the engine's original per-mode constructions of the pullback layer, and
+its original two-colon endomorphism-ring comparison for the trace check.
 """
 
 from fractions import Fraction
@@ -13,7 +14,8 @@ from itertools import combinations
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
 from ccalab.polys import p_degree
-from ccalab.pullback import CONGRUENCE, BElement
+from ccalab.pullback import CONGRUENCE, BElement, GradedSubmodule, colon_in_B
+from ccalab.s2 import TraceVerdict, Verdict, trace_ideal_check
 
 
 def all_monomials_up_to(n, max_degree):
@@ -272,3 +274,27 @@ def closed_conductor_by_mode(fam, formula, d):
             if not belt.is_zero():
                 closed.insert(belt.vector(d))
     return closed
+
+
+# -- the two-colon endomorphism-ring comparison of the trace check -------------
+
+
+def trace_verdict_two_colons(fam, ideal, bound):
+    """The bounded trace verdict with both colons solved; each must fill B.
+
+    The certificate stage is the engine's own (trace_ideal_check without a
+    bound).  Returns the verdict and the colon pair, or None for the pair
+    when the certificate decided alone.
+    """
+    cert = trace_ideal_check(fam, ideal)
+    if cert.is_trace is Verdict.FAIL or cert.endo_ring_is_B is not None:
+        return cert, None
+    endo = colon_in_B(fam, GradedSubmodule.from_ideal(fam, ideal), ideal, bound=bound)
+    dual = colon_in_B(fam, GradedSubmodule.unit_A(fam), ideal, bound=bound)
+    if endo.equals_all_of_B(fam) and dual.equals_all_of_B(fam):
+        verdict = TraceVerdict(
+            Verdict.PASS, Verdict.BOUNDED, bound, f"I:I = A:I = B up to degree {bound}"
+        )
+    else:
+        verdict = TraceVerdict(Verdict.FAIL, Verdict.FAIL, bound, "colon modules differ from B")
+    return verdict, (endo, dual)

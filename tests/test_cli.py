@@ -47,6 +47,15 @@ def test_verify_negative_degree_bound_exits_two():
     assert "degree bound -1" in res.output
 
 
+def test_verify_degree_bound_below_generator_degree_exits_two():
+    # the trace check's colon keeps rejecting a bound under its ideal's degree
+    res = run("verify", "two-planes", "--degree-bound", "0")
+    assert res.exit_code == 2
+    assert res.output.splitlines() == [
+        "error: degree bound 0 is below the ideal's generator degree 1"
+    ]
+
+
 def test_verify_tampered_expected_exits_one(monkeypatch):
     data = copy.deepcopy(registry.load_registry())
     for entry in data["families"]:

@@ -32,6 +32,13 @@ def test_every_registered_example_passes():
     assert reports_json_text(reports) + "\n" == golden
 
 
+def test_explicit_bound_matches_golden_bytes():
+    # the same bytes as `ccalab verify all --degree-bound 4 --format json`
+    reports = [run_example(eid, bound=4) for eid in example_ids()]
+    golden = (GOLDEN / "verify_all_bound4.json").read_text()
+    assert reports_json_text(reports) + "\n" == golden
+
+
 def test_unknown_example_raises():
     with pytest.raises(UnknownExampleError):
         run_example("not-an-example")

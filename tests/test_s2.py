@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ccalab.errors import ZeroDivisorError
+from ccalab import s2
+from ccalab.errors import CCAError, PrecisionError, ZeroDivisorError
 from ccalab.monomial import (
     Monomial,
     MonomialIdeal,
@@ -23,6 +24,9 @@ from ccalab.s2 import (
     trace_ideal_check_ambient,
     unmixed_component_principal,
 )
+from ccalab.suites import random_antichain, random_monomial_ideal
+
+import oracles
 
 CTX5 = VarContext(("x", "y", "z", "w", "u"))
 
@@ -161,6 +165,9 @@ def test_trace_pipeline_max_ideal_powers():
         assert v.is_trace is Verdict.PASS
         assert v.endo_ring_is_B is Verdict.BOUNDED
         power = power * m
+    # the colon still rejects a bound below the generator degree
+    with pytest.raises(PrecisionError):
+        trace_ideal_check(fam, m * m, bound=1)
 
 
 def test_trace_pipeline_rejects_low_height():
@@ -172,6 +179,87 @@ def test_trace_pipeline_rejects_low_height():
     # (X, Z) escapes both components but has height one in A
     with pytest.raises(ValueError):
         trace_ideal_check(fam, MonomialIdeal.from_strings(ctx, ["X", "Z"]))
+    # x1*x5 lies in P_1 = (x1, x2) although its support is not inside F_1
+    ctx5 = make_context(5)
+    fam5 = PullbackFamily.from_supports(ctx5, [["x1", "x2"], ["x3", "x4"]])
+    with pytest.raises(ZeroDivisorError):
+        trace_ideal_check(fam5, MonomialIdeal.from_strings(ctx5, ["x1*x5"]))
+
+
+def test_bounded_trace_check_solves_one_colon(monkeypatch):
+    bounds = []
+    colon = s2.colon_in_B
+
+    def counting(*args, **kwargs):
+        bounds.append(kwargs["bound"])
+        return colon(*args, **kwargs)
+
+    monkeypatch.setattr(s2, "colon_in_B", counting)
+    ctx = VarContext(("X", "Y", "Z", "W"))
+    fam = PullbackFamily.from_supports(ctx, [["X", "Y"], ["Z", "W"]])
+    m = MonomialIdeal.from_support(ctx, ctx.names)
+    power = m
+    for ell in (1, 2, 3):
+        bounds.clear()
+        assert trace_ideal_check(fam, power, bound=ell + 3).bound == ell + 3
+        assert bounds == [ell + 3]
+        power = power * m
+    # a certificate that fails before the colon branch solves no colon
+    bounds.clear()
+    overlap = PullbackFamily.from_supports(ctx, [["X", "Y"], ["Y", "Z"]])
+    assert trace_ideal_check(overlap, m, bound=3).reason == "conductor height < 2"
+    assert bounds == []
+
+
+def _trace_families(rng):
+    """Random antichain families, alternating with unmixed ones where every
+    |F_i - F_j| >= 2, so that many certificates reach the colon branch."""
+    fams = []
+    while len(fams) < 30:
+        if len(fams) % 2:
+            n = rng.randint(4, 6)
+            size = rng.randint(2, n - 2)
+            subsets = [frozenset(rng.sample(range(n), size)) for _ in range(rng.randint(2, 3))]
+            if any(len(a - b) < 2 for a in subsets for b in subsets if a is not b):
+                continue
+        else:
+            n = rng.randint(3, 6)
+            subsets = random_antichain(rng, n, rng.randint(2, 4))
+            if subsets is None:
+                continue
+        fams.append(
+            PullbackFamily.from_supports(
+                make_context(n), [sorted(f"x{i+1}" for i in s) for s in subsets]
+            )
+        )
+    return fams
+
+
+def test_trace_check_matches_two_colon_oracle():
+    rng = random.Random(31)
+    reached = 0
+    for fam in _trace_families(rng):
+        ctx = fam.context
+        m = MonomialIdeal.from_support(ctx, ctx.names)
+        rand = random_monomial_ideal(rng, ctx, max_gens=3, max_deg=2)
+        for ideal in (conductor(fam), m, m * m, rand):
+            # one bound below the generator degree in three
+            bound = ideal.max_gen_degree() + rng.randint(-1, 1)
+            try:
+                got = trace_ideal_check(fam, ideal, bound=bound)
+            except (CCAError, ValueError) as exc:
+                got = type(exc)
+            try:
+                ref, colons = oracles.trace_verdict_two_colons(fam, ideal, bound)
+            except (CCAError, ValueError) as exc:
+                ref, colons = type(exc), None
+            assert got == ref
+            if colons is not None:
+                reached += 1
+                endo, dual = colons
+                for d in range(bound + 1):
+                    assert all(dual.piece(d).contains(r) for r in endo.piece(d).rows.values())
+    assert reached >= 10
 
 
 def test_trace_duality_bounded():
