@@ -80,6 +80,9 @@ QQ = FieldSpec(0)
 
 
 def GF(p):
+    """The prime field F_p; GF(0) is an error, not the rationals FieldSpec(0)."""
+    if p == 0:
+        raise ValueError("0 is not prime")
     return FieldSpec(p)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import UnitIdealError, ZeroDivisorError
+from .errors import PrecisionError, UnitIdealError, ZeroDivisorError
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -26,7 +26,6 @@ from .monomial import (
 from .polys import p_degree, p_of_monomial
 from .pullback import (
     GradedSubmodule,
-    colon_in_B,
     conductor,
     lift_failures,
     verify_generation,
@@ -167,10 +166,19 @@ def trace_ideal_check(fam, ideal, bound=None):
     FAIL verdict, meaning the certificate does not apply): the conductor
     has height >= 2, the component supports have equal size (A unmixed),
     I sits inside the conductor, and I is B-stable.  A full pass
-    certifies the trace property exactly; the optional endo-ring
-    comparison is degree-bounded and solves I:I alone, a linear-algebra
-    witness independent of the B-stability check: I <= A gives
-    I:I <= A:I <= B in every degree, so I:I = B up to the bound forces A:I = B.
+    certifies the trace property exactly.
+
+    With a bound D, the endo-ring comparison asks whether I:I contains B,
+    by a linear-algebra witness independent of the B-stability check
+    (which lifts products to T): every e_i g, over the idempotents e_i and
+    the generators g of I, must lie in the degree-deg(g) piece of IA.
+    This is equivalent to I:I = B.  Each x^m e_i is the diagonal x^m of A
+    times e_i, so B = sum A e_i, and I:I, an A-module, contains B iff it
+    contains every e_i.  As the e_i have degree 0, the same holds for the
+    pieces up to any D >= 0, so nothing is swept over degrees and the cost
+    does not depend on D.  I <= A gives I:I <= A:I <= B, so A:I = B as
+    well.  D is kept as the stamp of the verdict; a D below the generator
+    degree of I raises PrecisionError.
     """
     defining = fam.defining_ideal()
     cond = conductor(fam)
@@ -203,8 +211,12 @@ def trace_ideal_check(fam, ideal, bound=None):
             None,
             "certificate: conductor ht >= 2, unmixed, I <= A:B, I B-stable",
         )
-    endo = colon_in_B(fam, GradedSubmodule.from_ideal(fam, ideal), ideal, bound=bound)
-    if endo.equals_all_of_B(fam):
+    if bound < ideal.max_gen_degree():
+        raise PrecisionError(
+            f"degree bound {bound} is below the ideal's generator degree "
+            f"{ideal.max_gen_degree()}"
+        )
+    if not GradedSubmodule.from_ideal(fam, ideal).missing(ideal):
         return TraceVerdict(
             Verdict.PASS, Verdict.BOUNDED, bound, f"I:I = A:I = B up to degree {bound}"
         )

@@ -37,6 +37,10 @@ def test_verify_unknown_id_exits_two():
 def test_verify_bad_field_exits_two():
     res = run("verify", "ffamily-n6-m4", "--field", "r64")
     assert res.exit_code == 2
+    # fp:0 is no field; it must not silently run over Q
+    res = run("verify", "two-planes", "--field", "fp:0")
+    assert res.exit_code == 2
+    assert res.output.splitlines() == ["error: 0 is not prime"]
 
 
 def test_verify_negative_degree_bound_exits_two():
@@ -54,6 +58,16 @@ def test_verify_degree_bound_below_generator_degree_exits_two():
     assert res.output.splitlines() == [
         "error: degree bound 0 is below the ideal's generator degree 1"
     ]
+
+
+def test_verify_large_degree_bound_is_stamped():
+    # the trace check's cost does not grow with the bound it stamps
+    res = run("verify", "ffamily-grid-l3-m2", "--degree-bound", "40", "--format", "json")
+    assert res.exit_code == 0
+    (report,) = json.loads(res.output)["reports"]
+    (claim,) = [c for c in report["claims"] if c["id"] == "trace.conductor"]
+    assert claim["bound"] == 40
+    assert claim["note"] == "I:I = A:I = B up to degree 40"
 
 
 def test_verify_tampered_expected_exits_one(monkeypatch):

@@ -46,8 +46,10 @@ def test_parse_field():
     assert parse_field("q") == QQ
     assert parse_field("f2") == GF(2)
     assert parse_field("fp:7") == GF(7)
-    with pytest.raises(ValueError):
-        parse_field("r64")
+    # GF(0) would be FieldSpec(0), the rationals: F_0 is rejected, not read as Q
+    for text in ("r64", "fp:0", "f0"):
+        with pytest.raises(ValueError):
+            parse_field(text)
 
 
 def test_rank_int_known():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ccalab import s2
+from ccalab import pullback
 from ccalab.errors import CCAError, PrecisionError, ZeroDivisorError
 from ccalab.monomial import (
     Monomial,
@@ -186,29 +186,43 @@ def test_trace_pipeline_rejects_low_height():
         trace_ideal_check(fam5, MonomialIdeal.from_strings(ctx5, ["x1*x5"]))
 
 
-def test_bounded_trace_check_solves_one_colon(monkeypatch):
-    bounds = []
-    colon = s2.colon_in_B
+def test_bounded_trace_check_sweeps_no_degrees(monkeypatch):
+    solves = []
+    degrees = []
+    stable = pullback.stable_subspace
+    piece = GradedSubmodule.piece
 
     def counting(*args, **kwargs):
-        bounds.append(kwargs["bound"])
-        return colon(*args, **kwargs)
+        solves.append(args)
+        return stable(*args, **kwargs)
 
-    monkeypatch.setattr(s2, "colon_in_B", counting)
+    def recording(self, d):
+        degrees.append(d)
+        return piece(self, d)
+
     ctx = VarContext(("X", "Y", "Z", "W"))
     fam = PullbackFamily.from_supports(ctx, [["X", "Y"], ["Z", "W"]])
+    overlap = PullbackFamily.from_supports(ctx, [["X", "Y"], ["Y", "Z"]])
+    conductor(fam)
+    conductor(overlap)
+    monkeypatch.setattr(pullback, "stable_subspace", counting)
+    monkeypatch.setattr(GradedSubmodule, "piece", recording)
     m = MonomialIdeal.from_support(ctx, ctx.names)
     power = m
     for ell in (1, 2, 3):
-        bounds.clear()
-        assert trace_ideal_check(fam, power, bound=ell + 3).bound == ell + 3
-        assert bounds == [ell + 3]
+        seen = []
+        for bound in (ell + 3, ell + 40):
+            degrees.clear()
+            assert trace_ideal_check(fam, power, bound=bound).bound == bound
+            seen.append(list(degrees))
+        # the witness reads the pieces at the generator degree, whatever the bound
+        assert seen[0] == seen[1] and set(seen[0]) == {ell}
+        assert solves == []
         power = power * m
-    # a certificate that fails before the colon branch solves no colon
-    bounds.clear()
-    overlap = PullbackFamily.from_supports(ctx, [["X", "Y"], ["Y", "Z"]])
+    # a certificate that fails before the witness solves nothing
+    degrees.clear()
     assert trace_ideal_check(overlap, m, bound=3).reason == "conductor height < 2"
-    assert bounds == []
+    assert degrees == [] and solves == []
 
 
 def _trace_families(rng):
@@ -238,6 +252,7 @@ def _trace_families(rng):
 def test_trace_check_matches_two_colon_oracle():
     rng = random.Random(31)
     reached = 0
+    lemma = {True: 0, False: 0}
     for fam in _trace_families(rng):
         ctx = fam.context
         m = MonomialIdeal.from_support(ctx, ctx.names)
@@ -245,6 +260,12 @@ def test_trace_check_matches_two_colon_oracle():
         for ideal in (conductor(fam), m, m * m, rand):
             # one bound below the generator degree in three
             bound = ideal.max_gen_degree() + rng.randint(-1, 1)
+            if not ideal.is_zero() and bound >= ideal.max_gen_degree():
+                # the idempotent witness against the colon sweep, certified or not
+                sub = GradedSubmodule.from_ideal(fam, ideal)
+                witness = not sub.missing(ideal)
+                assert witness == colon_in_B(fam, sub, ideal, bound=bound).equals_all_of_B(fam)
+                lemma[witness] += 1
             try:
                 got = trace_ideal_check(fam, ideal, bound=bound)
             except (CCAError, ValueError) as exc:
@@ -260,6 +281,7 @@ def test_trace_check_matches_two_colon_oracle():
                 for d in range(bound + 1):
                     assert all(dual.piece(d).contains(r) for r in endo.piece(d).rows.values())
     assert reached >= 10
+    assert min(lemma.values()) >= 20
 
 
 def test_trace_duality_bounded():
