@@ -64,7 +64,7 @@ def list_cmd():
 @main.command()
 @click.argument("ids", nargs=-1)
 @click.option("--field", "field_text", default="q", show_default=True, help="q or fp:<p>")
-@click.option("--degree-bound", type=int, default=None, help="trace-check degree bound: stamped, not swept")
+@click.option("--degree-bound", type=int, default=None, help="bound of trace.conductor only; stamped, not swept")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True)
 def verify(ids, field_text, degree_bound, fmt):
     """Verify registered examples (all of them when ids is 'all' or empty)."""

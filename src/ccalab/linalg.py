@@ -91,7 +91,7 @@ def parse_field(text):
     t = text.strip().lower()
     if t in ("q", "qq", "rationals"):
         return QQ
-    if t.startswith("fp:"):
+    if t.startswith("fp:") and t[3:].isdigit():
         return GF(int(t[3:]))
     if t.startswith("f") and t[1:].isdigit():
         return GF(int(t[1:]))

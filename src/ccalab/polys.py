@@ -43,19 +43,6 @@ def p_sub(a, b):
     return out
 
 
-def p_mul(a, b):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
 def p_is_zero(a):
     return not a
 

@@ -41,7 +41,6 @@ from .polys import (
     p_in_ideal,
     p_is_zero,
     p_linear,
-    p_mul,
     p_of_monomial,
     p_sub,
 )
@@ -50,6 +49,8 @@ INTERSECTION = "intersection"
 CONGRUENCE = "congruence"
 
 _MAX_COKERNEL_DEGREE = 64
+# the conductor's two paths are compared this far past its top generator degree
+_CONDUCTOR_PAD = 2
 
 
 class PullbackFamily:
@@ -186,16 +187,6 @@ class PullbackFamily:
                 out.append((e, tuple(comps[e])))
         return out
 
-    def basis_A_elements(self, d):
-        """BElements spanning A_d, in a basis adapted to membership tests."""
-        return [
-            BElement(
-                self,
-                tuple({e: Fraction(1)} if i in comps else {} for i in range(self.ell)),
-            )
-            for e, comps in self.basis_A(d)
-        ]
-
     def __repr__(self):
         if self.mode == CONGRUENCE:
             return f"PullbackFamily(congruence, q={self.q!r})"
@@ -212,7 +203,11 @@ def _support_mask(exps):
 
 
 class BElement:
-    """An element of B: one polynomial per component, already reduced."""
+    """An element of B: one polynomial per component, already reduced.
+
+    The lift route: in_A decides membership element by element and returns
+    the lift to T that lift_failures checks; the graded solves use pieces.
+    """
 
     __slots__ = ("family", "parts")
 
@@ -245,12 +240,6 @@ class BElement:
         return BElement(
             self.family,
             tuple(p if j == i else {} for j, p in enumerate(self.parts)),
-        )
-
-    def __mul__(self, other):
-        return BElement(
-            self.family,
-            tuple(p_mul(a, b) for a, b in zip(self.parts, other.parts)),
         )
 
     def is_zero(self):
@@ -290,13 +279,6 @@ class BElement:
                     return (False, None)
         return (True, candidate)
 
-    def __eq__(self, other):
-        return (
-            other.__class__ is self.__class__
-            and self.family is other.family
-            and self.parts == other.parts
-        )
-
     def __repr__(self):
         from .polys import p_format
 
@@ -335,20 +317,21 @@ def stable_subspace(fam, x_submodule, multipliers, d):
     return preimage(blocks, fam.dim_B(d), QQ)
 
 
-def conductor(fam, pad=2):
+def conductor(fam):
     """The conductor A : B, computed two independent ways.
 
     Closed path: the sum over i of the intersections of the other
     components (intersection mode) or q itself (congruence mode, where the
-    conductor is q B).  Direct path: degree by degree, the span of the
-    canonical A-basis vectors b with b e_i in A for every idempotent.
+    conductor is q B), read off basis_B.  Direct path: degree by degree, the
+    preimage of the A-piece under every projection b -> b e_i, solved
+    without the formula.  That preimage is exactly the conductor's piece:
+    b = sum b e_i puts such a b in A, and B = sum A e_i then gives bB in A.
     The two spans must agree on every degree swept; disagreement raises
     MethodDisagreementError (an implementation bug, never swallowed).  The
     result is kept in the family's cache, so the check runs once a family.
     """
-    key = ("conductor", pad)
-    if key in fam._basis_cache:
-        return fam._basis_cache[key]
+    if "conductor" in fam._basis_cache:
+        return fam._basis_cache["conductor"]
     if fam.mode == CONGRUENCE:
         formula = fam.q
     elif fam.ell == 1:
@@ -361,21 +344,21 @@ def conductor(fam, pad=2):
                 for i in range(fam.ell)
             ]
         )
-    top = formula.max_gen_degree() + pad
-    for d in range(top + 1):
-        direct = Subspace(QQ, fam.dim_B(d))
-        for b in fam.basis_A_elements(d):
-            # The e_i-stability conditions are coordinate-local in this
-            # basis, so testing basis vectors computes the exact subspace.
-            if all(b.component(i).in_A()[0] for i in range(fam.ell)):
-                direct.insert(b.vector(d))
+    unit_A = GradedSubmodule.unit_A(fam)
+    for d in range(formula.max_gen_degree() + _CONDUCTOR_PAD + 1):
+        basis = fam.basis_B(d)
+        projections = [
+            ([{k: 1} if j == i else {} for k, (j, _) in enumerate(basis)], unit_A.piece(d))
+            for i in range(fam.ell)
+        ]
+        direct = preimage(projections, len(basis), QQ)
         closed = monomial_span(fam, formula, d)
         if direct != closed:
             raise MethodDisagreementError(
                 f"conductor paths disagree in degree {d}: "
                 f"direct dim {direct.dim}, closed dim {closed.dim}"
             )
-    fam._basis_cache[key] = formula
+    fam._basis_cache["conductor"] = formula
     return formula
 
 
@@ -480,16 +463,14 @@ def cokernel_profile(fam):
             raise InfiniteLengthError("cokernel did not stabilize in bounded degree")
     while hilbert and hilbert[-1] == 0:
         hilbert.pop()
-    # the conductor annihilates B/A by definition; verify on basis elements
-    ann_ok = True
-    cond_elements = monomial_components(fam, cond.gens)
-    for d0, codim in enumerate(hilbert):
-        if codim == 0:
-            continue
-        for c in cond_elements:
-            for (i, m) in fam.basis_B(d0):
-                if not (c * BElement.unit(fam, i, m)).in_A()[0]:
-                    ann_ok = False
+    # the conductor annihilates B/A by definition; check that every
+    # generator maps B_d into A wherever the cokernel is nonzero
+    cond_polys = [p_of_monomial(g) for g in cond.gens]
+    ann_ok = all(
+        stable_subspace(fam, unit_A, cond_polys, d).dim == fam.dim_B(d)
+        for d, codim in enumerate(hilbert)
+        if codim
+    )
     return CokernelProfile(
         length=sum(hilbert),
         hilbert=tuple(hilbert),

@@ -111,17 +111,17 @@ def run_example(example_id, field=QQ, bound=None):
         rep = subalgebra_report(
             params["gens"],
             parse_field(params["field"]),
-            precision=params.get("precision", 40),
-            margin=params.get("margin", 10),
+            precision=params["precision"],
+            margin=params["margin"],
             expected=expected,
         )
     elif kind == "cone":
         rep = semigroup_cone_report(
             params["gens"],
-            field=parse_field(params.get("field", "q")),
-            precision=params.get("precision", 24),
-            s_precision=params.get("s_precision", 3),
-            margin=params.get("margin", 6),
+            field=parse_field(params["field"]),
+            precision=params["precision"],
+            s_precision=params["s_precision"],
+            margin=params["margin"],
             expected=expected,
             semigroup_gens=params.get("semigroup"),
         )
@@ -130,11 +130,11 @@ def run_example(example_id, field=QQ, bound=None):
             parse_field(params["base"]),
             u=params["u"],
             v=params["v"],
-            precision=params.get("precision", 24),
+            precision=params["precision"],
         )
         rep = quadratic_extension_report(
             model,
-            margin=params.get("margin", 6),
+            margin=params["margin"],
             expected=expected,
         )
     else:

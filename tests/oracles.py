@@ -4,8 +4,10 @@ These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
 complexes, exhaustive prime enumeration for minimal primes, a dense
 echelon (the engine's original one) as the reference for the sparse one,
-the engine's original per-mode constructions of the pullback layer, and
-its original two-colon endomorphism-ring comparison for the trace check.
+the engine's original per-mode constructions of the pullback layer, its
+original element-by-element membership tests for the conductor and its
+annihilation of B/A, and its original two-colon endomorphism-ring
+comparison for the trace check.
 """
 
 from fractions import Fraction
@@ -232,6 +234,20 @@ def basis_A_by_defining_ideal(fam, d):
     return out
 
 
+def _poly_product(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _product(a, b):
+    """The product of two BElements, component by component."""
+    return BElement(a.family, tuple(map(_poly_product, a.parts, b.parts)))
+
+
 def piece_by_belement_products(sub, d):
     """Degree-d piece of a GradedSubmodule: every A-basis element times every generator.
 
@@ -244,7 +260,7 @@ def piece_by_belement_products(sub, d):
         e = g.degree()
         if e <= d:
             for a in basis_A_by_defining_ideal(fam, d - e):
-                space.insert((a * g).vector(d))
+                space.insert(_product(a, g).vector(d))
     return space
 
 
@@ -255,7 +271,7 @@ def multiples_by_B_basis(fam, elements, e):
         da = p_degree(a)
         if da <= e:
             for (i, m) in fam.basis_B(e - da):
-                span.insert((BElement.unit(fam, i, m) * BElement.from_T(fam, a)).vector(e))
+                span.insert(_product(BElement.unit(fam, i, m), BElement.from_T(fam, a)).vector(e))
     return span
 
 
@@ -274,6 +290,27 @@ def closed_conductor_by_mode(fam, formula, d):
             if not belt.is_zero():
                 closed.insert(belt.vector(d))
     return closed
+
+
+def direct_conductor_by_membership(fam, d):
+    """Degree-d direct conductor: the A-basis elements b with every b e_i in A."""
+    direct = Subspace(QQ, fam.dim_B(d))
+    for b in basis_A_by_defining_ideal(fam, d):
+        # the e_i-stability conditions are coordinate-local in this basis,
+        # so testing basis vectors computes the exact subspace
+        if all(b.component(i).in_A()[0] for i in range(fam.ell)):
+            direct.insert(b.vector(d))
+    return direct
+
+
+def annihilates_by_products(fam, ideal, d):
+    """Does every x^g e_i, over the generators g, times every basis element of B_d lie in A?"""
+    return all(
+        _product(BElement.unit(fam, i, g.exps), BElement.unit(fam, j, m)).in_A()[0]
+        for g in ideal.gens
+        for i in fam.surviving(g.exps)
+        for (j, m) in fam.basis_B(d)
+    )
 
 
 # -- the two-colon endomorphism-ring comparison of the trace check -------------

@@ -41,6 +41,9 @@ def test_verify_bad_field_exits_two():
     res = run("verify", "two-planes", "--field", "fp:0")
     assert res.exit_code == 2
     assert res.output.splitlines() == ["error: 0 is not prime"]
+    res = run("verify", "two-planes", "--field", "fp:abc")
+    assert res.exit_code == 2
+    assert res.output.splitlines() == ["error: cannot parse field 'fp:abc'"]
 
 
 def test_verify_negative_degree_bound_exits_two():

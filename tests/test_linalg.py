@@ -50,6 +50,10 @@ def test_parse_field():
     for text in ("r64", "fp:0", "f0"):
         with pytest.raises(ValueError):
             parse_field(text)
+    # a non-numeric prime is a parse error, not int()'s own complaint
+    for text in ("fp:abc", "fp:"):
+        with pytest.raises(ValueError, match="cannot parse field"):
+            parse_field(text)
 
 
 def test_rank_int_known():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ccalab.errors import InfiniteLengthError, PrecisionError
+from ccalab.errors import InfiniteLengthError, MethodDisagreementError, PrecisionError
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import MonomialIdeal, MonomialPrime, VarContext, make_context
 from ccalab.polys import p_linear, p_mono, p_of_monomial
+from ccalab import pullback
 from ccalab.pullback import (
     INTERSECTION,
     BElement,
@@ -18,6 +19,7 @@ from ccalab.pullback import (
     conductor_is_irrelevant_primary,
     monomial_span,
     regular_sequence_on_B,
+    stable_subspace,
     verify_generation,
 )
 from ccalab.suites import random_antichain, random_monomial_ideal
@@ -136,8 +138,10 @@ def test_conductor_is_computed_once_per_family(monkeypatch):
         {"vars": ["X", "Y", "Z", "W"], "F": [["X", "Y"], ["Z", "W"]]}
     )
     first = conductor(fam)
-    # a corrupted direct path would now disagree: the checked result is reused
-    monkeypatch.setattr(BElement, "in_A", lambda self: (True, {}))
+    # a corrupted direct path disagrees on a new family; the checked result is reused
+    monkeypatch.setattr(PullbackFamily, "basis_A", lambda self, d: [])
+    with pytest.raises(MethodDisagreementError):
+        conductor(PullbackFamily.from_supports(fam.context, [["X", "Y"], ["Z", "W"]]))
     assert conductor(fam) is first
 
 
@@ -333,7 +337,7 @@ def test_merged_paths_match_reference_oracles():
         for d in range(cond.max_gen_degree() + 3):
             ref = oracles.basis_A_by_defining_ideal(fam, d)
             assert fam.dim_A(d) == len(ref)
-            assert _span(fam, fam.basis_A_elements(d), d) == _span(fam, ref, d)
+            assert GradedSubmodule.unit_A(fam).piece(d) == _span(fam, ref, d)
             for formula in (cond, inner):
                 closed = oracles.closed_conductor_by_mode(fam, formula, d)
                 assert monomial_span(fam, formula, d) == closed
@@ -345,12 +349,18 @@ def test_merged_paths_match_reference_oracles():
                 assert generated.piece(e) == oracles.multiples_by_B_basis(fam, polys, e)
 
 
+def _monomial_and_components(b):
+    comps = tuple(i for i, part in enumerate(b.parts) if part)
+    (e,) = b.parts[comps[0]]
+    return e, comps
+
+
 def test_piece_matches_belement_products():
     rng = random.Random(23)
     for fam in _random_families(rng):
         for d in range(5):
             ref = oracles.basis_A_by_defining_ideal(fam, d)
-            assert fam.basis_A_elements(d) == ref
+            assert fam.basis_A(d) == [_monomial_and_components(b) for b in ref]
         n = fam.context.n
         ideal = random_monomial_ideal(rng, fam.context, max_gens=3, max_deg=2)
         forms = [p_linear(n, rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
@@ -362,6 +372,41 @@ def test_piece_matches_belement_products():
         for sub in subs:
             for d in range(5):
                 assert sub.piece(d) == oracles.piece_by_belement_products(sub, d)
+
+
+def test_direct_conductor_matches_membership_oracle(monkeypatch):
+    # conductor compares its direct solve with the closed path in every degree
+    # it sweeps; with the old membership loop as the closed path, it compares
+    # the solve with that loop
+    def membership(fam, _, d):
+        return oracles.direct_conductor_by_membership(fam, d)
+
+    def one_row_short(fam, _, d):
+        full = membership(fam, _, d)
+        return Subspace(QQ, full.ambient, list(full.rows.values())[1:])
+
+    monkeypatch.setattr(pullback, "monomial_span", membership)
+    for fam in _random_families(random.Random(11)):
+        conductor(fam)
+    monkeypatch.setattr(pullback, "monomial_span", one_row_short)
+    with pytest.raises(MethodDisagreementError):
+        conductor(PullbackFamily.from_supports(CTX4, [["X", "Y"], ["Z", "W"]]))
+
+
+def test_annihilator_solve_matches_product_oracle():
+    rng = random.Random(29)
+    outcomes = []
+    for fam in _random_families(rng):
+        unit_A = GradedSubmodule.unit_A(fam)
+        other = random_monomial_ideal(rng, fam.context, max_gens=3, max_deg=2)
+        for ideal in (conductor(fam), other):
+            polys = [p_of_monomial(g) for g in ideal.gens]
+            for d in range(3):
+                solved = stable_subspace(fam, unit_A, polys, d).dim == fam.dim_B(d)
+                assert solved == oracles.annihilates_by_products(fam, ideal, d)
+                outcomes.append(solved)
+    # both outcomes occur, so neither side can pass by always answering one way
+    assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 def test_piece_inserts_each_product_once(monkeypatch):

@@ -101,13 +101,11 @@ def test_sparse_element_round_trip():
 
 
 def test_method_disagreement_is_surfaced(monkeypatch):
-    # corrupt the direct membership path: the conductor's two routes must
-    # then disagree, and the error surfaces instead of being swallowed
+    # corrupt the A-basis the direct path solves against: the conductor's two
+    # routes must then disagree, and the error surfaces instead of being swallowed
     ctx_fam = PullbackFamily.from_json(
         {"vars": ["X", "Y", "Z", "W"], "F": [["X", "Y"], ["Z", "W"]]}
     )
-    from ccalab.pullback import BElement
-
-    monkeypatch.setattr(BElement, "in_A", lambda self: (True, {}))
-    with pytest.raises(MethodDisagreementError):
+    monkeypatch.setattr(PullbackFamily, "basis_A", lambda self, d: [])
+    with pytest.raises(MethodDisagreementError, match="degree 1: direct dim 0, closed dim 4"):
         conductor(ctx_fam)
