@@ -29,10 +29,6 @@ from .monomial import Monomial, MonomialIdeal, VarContext
 MAX_VERTICES = 16
 
 
-def _popcount(m):
-    return bin(m).count("1")
-
-
 def _bits(mask):
     i = 0
     while mask:
@@ -44,7 +40,7 @@ def _bits(mask):
 
 def _max_antichain(masks):
     """Maximal elements under inclusion of a set of masks."""
-    masks = sorted(set(masks), key=_popcount, reverse=True)
+    masks = sorted(set(masks), key=int.bit_count, reverse=True)
     out = []
     for m in masks:
         if not any(m & f == m for f in out):
@@ -93,7 +89,7 @@ class SimplicialComplex:
         """Dimension; None for the void complex, -1 for {()}."""
         if self.is_void():
             return None
-        return max(_popcount(f) for f in self.facets) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     def has_face(self, mask):
         return any(mask & f == mask for f in self.facets)
@@ -116,7 +112,7 @@ class SimplicialComplex:
         """Faces grouped by cardinality: list where entry k holds |face|=k."""
         by = {}
         for f in self.faces():
-            by.setdefault(_popcount(f), []).append(f)
+            by.setdefault(f.bit_count(), []).append(f)
         top = max(by) if by else -1
         return [sorted(by.get(k, [])) for k in range(top + 1)]
 
@@ -144,21 +140,19 @@ class SimplicialComplex:
 
     def euler_characteristic_reduced(self):
         """Sum of (-1)^dim over all faces, empty face included."""
-        return sum((-1) ** (_popcount(f) - 1) for f in self.faces())
+        return sum((-1) ** (f.bit_count() - 1) for f in self.faces())
 
     def nonface_ideal(self):
         """Squarefree ideal of minimal non-faces (round trip of complex_of)."""
         n = self.context.n
-        nonfaces = [m for m in range(1 << n) if not self.has_face(m)]
-        minimal = []
-        nonfaces.sort(key=_popcount)
-        for m in nonfaces:
-            if not any(s & m == s for s in minimal):
-                minimal.append(m)
-        gens = []
-        for m in minimal:
-            gens.append(Monomial(tuple(1 if (m >> i) & 1 else 0 for i in range(n))))
-        return MonomialIdeal(self.context, gens)
+        return MonomialIdeal(
+            self.context,
+            [
+                Monomial(tuple((m >> i) & 1 for i in range(n)))
+                for m in range(1 << n)
+                if not self.has_face(m)
+            ],
+        )
 
     def to_json(self):
         return {
@@ -224,8 +218,9 @@ def reduced_homology(cplx, field):
         raise VoidComplexError("homology of the void complex")
     layers = cplx.faces_by_dim()  # layers[k] = faces of cardinality k
     top = len(layers) - 1
-    # rank of each boundary map d_k : C_{k-1-chain...}; use cardinality index:
-    # d_k maps span(layers[k]) -> span(layers[k-1]) for k >= 1.
+    # Boundary maps are indexed by face cardinality, not by dimension:
+    # d_k maps span(layers[k]) -> span(layers[k-1]) for k >= 1, so faces of
+    # cardinality k sit in homological degree k - 1.
     ranks = {}
     for k in range(1, top + 1):
         m = boundary_matrix(layers[k - 1], layers[k])
@@ -298,7 +293,7 @@ def _betti_for_subset(cplx, field, mask):
     sub = cplx.restriction(mask)
     if sub.is_void():
         return []
-    size = _popcount(mask)
+    size = mask.bit_count()
     out = []
     for j, r in reduced_homology(sub, field).items():
         if r:
@@ -334,18 +329,10 @@ def projective_dimension(ideal, field):
 
 
 def depth(ideal, field):
-    """depth of T/I over the field, via n - pd (Auslander-Buchsbaum).
-
-    Non-squarefree ideals are polarized first; the added variables join a
-    regular sequence, so depth drops back by their count.
-    """
+    """depth of T/I over the field: n - projective_dimension (Auslander-Buchsbaum)."""
     if ideal.is_unit():
         raise UnitIdealError("depth of the zero ring")
-    if ideal.is_zero():
-        return ideal.context.n
-    sf, added = ideal.polarize()
-    pd = graded_betti(sf, field).projective_dimension_of_quotient()
-    return sf.context.n - pd - added
+    return ideal.context.n - projective_dimension(ideal, field)
 
 
 def depth_via_local_cohomology(ideal, field):
@@ -363,7 +350,7 @@ def depth_via_local_cohomology(ideal, field):
     best = None
     for face in cplx.faces():
         hom = reduced_homology(cplx.link(face), field)
-        size = _popcount(face)
+        size = face.bit_count()
         for j, r in hom.items():
             if r:
                 i = j + size + 1

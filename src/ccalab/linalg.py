@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
-No floating point anywhere.  Ranks of integer matrices over Q use
-fraction-free (Bareiss) elimination, and over F_p plain elimination mod p.
-Everything else goes through one sparse echelon, Subspace, which keeps a
-fully reduced basis, so equal subspaces compare equal.
+No floating point anywhere.  Ranks of integer matrices come from one
+fraction-free elimination, `rank`: Bareiss over Q, the same row update
+reduced mod p over F_p.  Everything else goes through one sparse echelon,
+Subspace, which keeps a fully reduced basis, so equal subspaces compare
+equal.
 """
 
 from __future__ import annotations
@@ -98,81 +99,49 @@ def parse_field(text):
     raise ValueError(f"cannot parse field {text!r}")
 
 
-def rank_int_bareiss(rows):
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    m = [list(r) for r in rows]
+def rank(rows, field):
+    """Rank of an integer matrix over the given field, by fraction-free elimination.
+
+    Each row below the pivot row becomes mrc*row - mic*pivot_row.  Over Q
+    the new entries are divided exactly by the previous pivot (Bareiss);
+    over F_p they are reduced mod p and the previous pivot stays 1.
+
+    >>> rank([[1, 1], [1, 3]], QQ), rank([[1, 1], [1, 3]], GF(2))
+    (2, 1)
+    """
+    p = field.p
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     if not m or not m[0]:
         return 0
     nr, nc = len(m), len(m[0])
     r = 0
     prev = 1
     for c in range(nc):
-        piv = None
         for i in range(r, nr):
             if m[i][c]:
-                piv = i
                 break
-        if piv is None:
+        else:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        mrc = m[r][c]
-        for i in range(r + 1, nr):
-            mic = m[i][c]
-            if mic:
-                row_i, row_r = m[i], m[r]
+        m[r], m[i] = m[i], m[r]
+        row_r = m[r]
+        mrc = row_r[c]
+        for row_i in m[r + 1:]:
+            mic = row_i[c]
+            if not mic and mrc == prev:
+                continue  # the update would leave the row unchanged
+            if p:
+                for j in range(c + 1, nc):
+                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) % p
+            else:
                 for j in range(c + 1, nc):
                     # Bareiss condensation: the division is exact
                     row_i[j] = (mrc * row_i[j] - mic * row_r[j]) // prev
-            else:
-                row_i = m[i]
-                for j in range(c + 1, nc):
-                    row_i[j] = (mrc * row_i[j]) // prev
-            m[i][c] = 0
-        prev = mrc
+        if not p:
+            prev = mrc
         r += 1
         if r == nr:
             break
     return r
-
-
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over F_p."""
-    m = [[x % p for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        row_r = m[r]
-        for i in range(r + 1, nr):
-            f = m[i][c]
-            if f:
-                f = (f * inv) % p
-                row_i = m[i]
-                for j in range(c, nc):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
-def rank(rows, field):
-    """Rank of an integer matrix over the given field."""
-    if field.p:
-        return rank_mod_p(rows, field.p)
-    return rank_int_bareiss(rows)
 
 
 class Subspace:

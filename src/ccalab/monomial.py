@@ -349,7 +349,7 @@ class MonomialIdeal:
         covers = _minimal_covers(tuple(sorted(supports)))
         return [
             MonomialPrime(self.context, c)
-            for c in sorted(covers, key=lambda m: (bin(m).count("1"), m))
+            for c in sorted(covers, key=lambda m: (m.bit_count(), m))
         ]
 
     def associated_primes(self):
@@ -361,7 +361,7 @@ class MonomialIdeal:
                 MonomialPrime(self.context, comp.radical_support_mask())
                 for comp in self.irreducible_decomposition()
             },
-            key=lambda p: (bin(p.mask).count("1"), p.mask),
+            key=lambda p: (p.mask.bit_count(), p.mask),
         )
 
     def radical_support_mask(self):
@@ -417,7 +417,7 @@ class MonomialIdeal:
         for comp in self.irreducible_decomposition():
             groups.setdefault(comp.radical_support_mask(), []).append(comp)
         out = []
-        for mask in sorted(groups, key=lambda m: (bin(m).count("1"), m)):
+        for mask in sorted(groups, key=lambda m: (m.bit_count(), m)):
             out.append(
                 (
                     MonomialPrime(self.context, mask),
@@ -444,7 +444,7 @@ class MonomialIdeal:
         """(height, dim) of the ideal in the ambient polynomial ring."""
         if self.is_unit():
             raise UnitIdealError("height of the unit ideal")
-        h = min(bin(p.mask).count("1") for p in self.minimal_primes())
+        h = min(p.mask.bit_count() for p in self.minimal_primes())
         return h, self.context.n - h
 
     def polarize(self):
@@ -512,7 +512,7 @@ class MonomialPrime:
         return self.context.names_of_mask(self.mask)
 
     def size(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __repr__(self):
         return "(" + ",".join(self.variable_names()) + ")"
@@ -528,7 +528,7 @@ def _minimal_covers(supports, _memo=None):
     got = _memo.get(key)
     if got is not None:
         return got
-    pivot = min(supports, key=lambda s: bin(s).count("1"))
+    pivot = min(supports, key=int.bit_count)
     out = []
     for v in range(pivot.bit_length()):
         if not (pivot >> v) & 1:
@@ -542,7 +542,7 @@ def _minimal_covers(supports, _memo=None):
 
 
 def _minimal_masks(masks):
-    masks = sorted(set(masks), key=lambda m: bin(m).count("1"))
+    masks = sorted(set(masks), key=int.bit_count)
     out = []
     for m in masks:
         if not any(o & m == o for o in out):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from ccalab.complexes import SimplicialComplex, boundary_matrix
 from ccalab.linalg import (
     GF,
     QQ,
@@ -14,8 +16,10 @@ from ccalab.linalg import (
     preimage,
     rank,
 )
+from ccalab.monomial import make_context
 
 from oracles import DenseSubspace, dense_nullspace
+from test_complexes import rp2
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
 
@@ -71,17 +75,45 @@ def test_rank_mod_p_differs_from_rational():
     assert rank(m, GF(2)) == 1
 
 
-def test_rank_random_cross_check():
-    import random
+def _boundary_matrices():
+    """The boundary matrices reduced_homology ranks, on rp2 and a few random complexes."""
+    rng = random.Random(17)
+    complexes = [rp2()]
+    for _ in range(6):
+        n = rng.randint(4, 7)
+        facets = [rng.sample(range(n), rng.randint(2, n - 1)) for _ in range(rng.randint(2, 5))]
+        complexes.append(SimplicialComplex(make_context(n), [sum(1 << v for v in f) for f in facets]))
+    for c in complexes:
+        layers = c.faces_by_dim()
+        for k in range(1, len(layers)):
+            yield boundary_matrix(layers[k - 1], layers[k])
 
+
+def test_rank_random_cross_check():
     rng = random.Random(7)
+
+    def matrix(rows, cols, bound):
+        return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+    cases = [matrix(rng.randint(1, 5), rng.randint(1, 5), 4) for _ in range(40)]
+    # up to 8x8 with entries +-9, so Bareiss divides through several pivots
+    cases += [matrix(rng.randint(1, 8), rng.randint(1, 8), 9) for _ in range(40)]
+    # rank-deficient: integer combinations of k < min(r, c) random rows
     for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        # the dense Fraction / mod-p echelon as the independent oracle
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        base = matrix(rng.randint(0, min(rows, cols) - 1), cols, 9)
+        coeffs = matrix(rows, len(base), 3)
+        m = [[sum(a * b[j] for a, b in zip(row, base)) for j in range(cols)] for row in coeffs]
+        assert rank(m, QQ) < min(rows, cols)
+        cases.append(m)
+    # the dense Fraction / mod-p echelon as the independent oracle; over F_5
+    # and F_7 the pivot is often not 1, so rows with a zero entry still update
+    for m in cases:
+        for field in (QQ, GF(2), GF(3), GF(5), GF(7)):
+            assert rank(m, field) == DenseSubspace(field, len(m[0]), m).dim
+    for m in _boundary_matrices():
         for field in (QQ, GF(2), GF(3)):
-            assert rank(m, field) == DenseSubspace(field, cols, m).dim
+            assert rank(m, field) == DenseSubspace(field, len(m[0]), m).dim
 
 
 def test_subspace_canonical_equality():
