@@ -289,13 +289,16 @@ class BettiTable:
         return f"BettiTable({len(self.entries)} entries, field={self.field})"
 
 
-def _betti_for_subset(cplx, field, mask):
-    sub = cplx.restriction(mask)
-    if sub.is_void():
-        return []
+def _betti_for_subset(cplx, field, mask, support, homology):
+    # restricting to mask is restricting to tau = mask & support, so the
+    # homology is looked up per tau; only i = |mask| - j - 2 reads mask
+    tau = mask & support
+    hom = homology.get(tau)
+    if hom is None:
+        hom = homology[tau] = reduced_homology(cplx.restriction(tau), field)
     size = mask.bit_count()
     out = []
-    for j, r in reduced_homology(sub, field).items():
+    for j, r in hom.items():
         if r:
             i = size - j - 2
             if i >= 0:
@@ -304,13 +307,26 @@ def _betti_for_subset(cplx, field, mask):
 
 
 def graded_betti(ideal, field):
-    """Betti table of a squarefree proper ideal via subset restrictions."""
+    """Betti table of a squarefree proper ideal via subset restrictions.
+
+    Hochster's formula runs over all 2^n vertex subsets sigma, but a vertex
+    outside every facet (a variable in the ideal) never changes a
+    restriction: each distinct restriction to sigma & V(complex) is computed
+    once per call, so the prime (x_F) computes 2^(n - |F|) of them, not 2^n.
+    """
     if not ideal.is_squarefree():
         raise NotSquarefreeError("graded_betti needs a squarefree ideal")
     if ideal.is_unit():
         raise UnitIdealError("graded_betti needs a proper ideal")
     cplx = complex_of(ideal)
-    pieces = [_betti_for_subset(cplx, field, m) for m in range(1 << ideal.context.n)]
+    support = 0
+    for f in cplx.facets:
+        support |= f
+    homology = {}  # tau -> reduced_homology of the restriction, this call only
+    pieces = [
+        _betti_for_subset(cplx, field, m, support, homology)
+        for m in range(1 << ideal.context.n)
+    ]
     entries = {}
     for piece in pieces:
         for key, v in piece:

@@ -505,7 +505,12 @@ class GradedSubmodule:
 
     @classmethod
     def unit_A(cls, fam):
-        return cls(fam, [BElement.from_T(fam, p_of_monomial(Monomial.one(fam.context.n)))])
+        """A itself, generated by 1: one per family, kept in the family's cache."""
+        got = fam._basis_cache.get("unit_A")
+        if got is None:
+            one = BElement.from_T(fam, p_of_monomial(Monomial.one(fam.context.n)))
+            got = fam._basis_cache["unit_A"] = cls(fam, [one])
+        return got
 
     @classmethod
     def multiples(cls, fam, polys):

@@ -247,7 +247,8 @@ def subalgebra_closure(gens, field, precision=DEFAULT_PRECISION, margin=DEFAULT_
             max_val = max(max_val, min(nonzero))
     if precision < 2 * max_val + margin:
         raise PrecisionError(
-            f"precision {precision} too small for generator valuation {max_val}"
+            f"precision {precision} is below 2 * generator valuation {max_val}"
+            f" + margin {margin} = {2 * max_val + margin}"
         )
     return TruncatedSubalgebra(gens, field, precision, margin)
 

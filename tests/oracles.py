@@ -2,7 +2,8 @@
 
 These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
-complexes, exhaustive prime enumeration for minimal primes, a dense
+complexes, a Betti sweep that computes every subset's restriction afresh,
+exhaustive prime enumeration for minimal primes, a dense
 echelon (the engine's original one) as the reference for the sparse one,
 the engine's original per-mode constructions of the pullback layer, its
 original element-by-element membership tests for the conductor and its
@@ -13,6 +14,7 @@ comparison for the trace check.
 from fractions import Fraction
 from itertools import combinations
 
+from ccalab.complexes import BettiTable, complex_of, reduced_homology
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
 from ccalab.polys import p_degree
@@ -84,6 +86,22 @@ def faces_by_membership(ideal):
         if not ideal.contains(mono):
             faces.append(mask)
     return sorted(faces)
+
+
+def betti_by_full_sweep(ideal, field):
+    """Hochster's formula with the homology of all 2^n restrictions computed.
+
+    beta[i, sigma] = dim H~_{|sigma| - i - 2} of the restriction to sigma,
+    with no restriction shared between subsets.
+    """
+    cplx = complex_of(ideal)
+    entries = {}
+    for mask in range(1 << ideal.context.n):
+        size = mask.bit_count()
+        for j, r in reduced_homology(cplx.restriction(mask), field).items():
+            if r and size - j - 2 >= 0:
+                entries[(size - j - 2, mask)] = r
+    return BettiTable(ideal.context, field, entries)
 
 
 def sieve_semigroup(gens, limit):

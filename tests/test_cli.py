@@ -161,6 +161,14 @@ def test_subalgebra_negative_margin_exits_two():
     assert "window" not in res.output
 
 
+def test_subalgebra_margin_too_large_names_the_margin():
+    # t^2,t^3 at the default precision 40 fails only because of the margin
+    res = run("subalgebra", "--gens", "t^2,t^3", "--margin", "38")
+    assert res.exit_code == 2
+    assert "margin 38" in res.output and "valuation 3" in res.output
+    assert run("subalgebra", "--gens", "t^2,t^3", "--margin", "34").exit_code == 0
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

@@ -18,7 +18,7 @@ from ccalab.errors import NotSquarefreeError, UnitIdealError, VoidComplexError
 from ccalab.linalg import GF, QQ
 from ccalab.monomial import MonomialIdeal, VarContext, make_context
 
-from oracles import faces_by_membership
+from oracles import betti_by_full_sweep, faces_by_membership
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("a", "b", "c"))
@@ -198,6 +198,50 @@ def test_betti_export():
     csv_text = t.to_csv()
     assert csv_text.splitlines()[0] == "i,sigma,rank"
     assert len(csv_text.splitlines()) == 4
+
+
+def test_betti_matches_full_sweep_oracle():
+    # a variable generator leaves its vertex outside every facet, where the
+    # restrictions are shared; both kinds of ideal must agree with the sweep
+    rng = random.Random(31)
+    fields = (QQ, GF(2), GF(3))
+    kinds = {True: 0, False: 0}
+    for case in range(150):
+        n = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            supp = rng.sample(range(n), rng.randint(1, min(4, n)))
+            gens.append(tuple(1 if v in supp else 0 for v in range(n)))
+        ideal = MonomialIdeal.from_exponents(make_context(n), gens)
+        field = fields[case % 3]
+        assert graded_betti(ideal, field).entries == betti_by_full_sweep(ideal, field).entries
+        kinds[any(g.degree() == 1 for g in ideal.gens)] += 1
+    assert kinds[True] >= 50 and kinds[False] >= 50
+
+
+def test_betti_of_maximal_ideal_is_koszul():
+    # every subset shares the empty restriction: beta[|sigma| - 1, sigma] = 1
+    ctx = make_context(5)
+    t = graded_betti(MonomialIdeal.from_strings(ctx, list(ctx.names)), GF(3))
+    assert t.entries == {(m.bit_count() - 1, m): 1 for m in range(1, 1 << 5)}
+    assert [t.total(i) for i in range(5)] == [5, 10, 10, 5, 1]
+
+
+def test_betti_of_zero_ideal_is_empty():
+    t = graded_betti(MonomialIdeal.zero(make_context(4)), QQ)
+    assert t.entries == {} and t.projective_dimension_of_quotient() == 0
+
+
+def test_betti_shares_restrictions_within_one_call_only():
+    # RP^2 plus a variable: the shared restrictions differ over Q and F_2,
+    # so a table kept past its call would hand one field's numbers to the other
+    ctx = make_context(7)
+    gens = [g.exps + (0,) for g in rp2().nonface_ideal().gens] + [(0,) * 6 + (1,)]
+    ideal = MonomialIdeal.from_exponents(ctx, gens)
+    tables = [graded_betti(ideal, f).entries for f in (QQ, GF(2), QQ)]
+    assert tables[0] != tables[1] and tables[0] == tables[2]
+    for f, t in zip((QQ, GF(2), QQ), tables):
+        assert t == graded_betti(ideal, f).entries == betti_by_full_sweep(ideal, f).entries
 
 
 # -- depth ------------------------------------------------------------------------

@@ -427,3 +427,24 @@ def test_piece_inserts_each_product_once(monkeypatch):
         GradedSubmodule.from_ideal(fam, ideal).piece(d)
         monomials = {m for _, m in fam.basis_B(d)}
         assert 0 < len(calls) <= len(monomials)
+
+
+def test_unit_A_builds_each_piece_once(monkeypatch, two_planes, overlap6, fiber_x1sq):
+    # conductor and cokernel_profile share the family's one A-piece submodule,
+    # so no (family, degree) piece of A is solved twice in a pass
+    built = []
+    piece = GradedSubmodule.piece
+
+    def recording(self, d):
+        if d not in self._pieces:
+            built.append((repr(self.gens), d))
+        return piece(self, d)
+
+    monkeypatch.setattr(GradedSubmodule, "piece", recording)
+    for fam in (overlap6, fiber_x1sq, two_planes):
+        built.clear()
+        cokernel_profile(fam)
+        one = repr(GradedSubmodule.unit_A(fam).gens)
+        degrees = [d for gens, d in built if gens == one]
+        assert degrees and len(degrees) == len(set(degrees))
+        assert GradedSubmodule.unit_A(fam) is GradedSubmodule.unit_A(fam)
