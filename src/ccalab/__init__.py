@@ -34,7 +34,6 @@ from .pullback import (
     GradedSubmodule,
     PullbackFamily,
     cokernel_profile,
-    colon_in_B,
     conductor,
     verify_generation,
 )
@@ -43,10 +42,8 @@ from .s2 import (
     QuotientRing,
     TraceVerdict,
     Verdict,
-    s2_equals_B_test,
     s2_membership,
     trace_ideal_check,
-    trace_ideal_check_ambient,
     unmixed_component_principal,
 )
 from .semigroup import (

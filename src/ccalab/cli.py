@@ -64,9 +64,8 @@ def list_cmd():
 @main.command()
 @click.argument("ids", nargs=-1)
 @click.option("--field", "field_text", default="q", show_default=True, help="q or fp:<p>")
-@click.option("--degree-bound", type=int, default=None, help="bound of trace.conductor only; stamped, not swept")
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table", show_default=True)
-def verify(ids, field_text, degree_bound, fmt):
+def verify(ids, field_text, fmt):
     """Verify registered examples (all of them when ids is 'all' or empty)."""
     try:
         field = parse_field(field_text)
@@ -79,7 +78,7 @@ def verify(ids, field_text, degree_bound, fmt):
     reports = []
     for eid in wanted:
         try:
-            reports.append(run_example(eid, field=field, bound=degree_bound))
+            reports.append(run_example(eid, field=field))
         except UnknownExampleError:
             click.echo(f"error: unknown example id {eid!r}", err=True)
             sys.exit(EXIT_INPUT_ERROR)

@@ -19,9 +19,6 @@ most 10.
 
 from __future__ import annotations
 
-import csv
-import io
-
 from .errors import NotSquarefreeError, UnitIdealError, VoidComplexError
 from .linalg import rank
 from .monomial import Monomial, MonomialIdeal, VarContext
@@ -77,10 +74,6 @@ class SimplicialComplex:
     @classmethod
     def from_vertex_sets(cls, ctx, facets):
         return cls(ctx, [ctx.mask_of(f) for f in facets])
-
-    @classmethod
-    def full_simplex(cls, ctx):
-        return cls(ctx, ((1 << ctx.n) - 1,))
 
     def is_void(self):
         return not self.facets
@@ -138,10 +131,6 @@ class SimplicialComplex:
             return SimplicialComplex(ctx, (apex,))
         return SimplicialComplex(ctx, [f | apex for f in self.facets])
 
-    def euler_characteristic_reduced(self):
-        """Sum of (-1)^dim over all faces, empty face included."""
-        return sum((-1) ** (f.bit_count() - 1) for f in self.faces())
-
     def nonface_ideal(self):
         """Squarefree ideal of minimal non-faces (round trip of complex_of)."""
         n = self.context.n
@@ -153,17 +142,6 @@ class SimplicialComplex:
                 if not self.has_face(m)
             ],
         )
-
-    def to_json(self):
-        return {
-            "vertices": list(self.context.names),
-            "facets": [list(self.context.names_of_mask(f)) for f in self.facets],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        ctx = VarContext(tuple(data["vertices"]))
-        return cls.from_vertex_sets(ctx, data["facets"])
 
     def __eq__(self, other):
         return (
@@ -249,9 +227,6 @@ class BettiTable:
     def __setattr__(self, *a):
         raise AttributeError("BettiTable is immutable")
 
-    def beta(self, i, mask):
-        return self.entries.get((i, mask), 0)
-
     def total(self, i):
         return sum(v for (j, _), v in self.entries.items() if j == i)
 
@@ -276,14 +251,6 @@ class BettiTable:
                 for (i, mask), v in self.entries.items()
             ],
         }
-
-    def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["i", "sigma", "rank"])
-        for (i, mask), v in self.entries.items():
-            w.writerow([i, "|".join(self.context.names_of_mask(mask)), v])
-        return buf.getvalue()
 
     def __repr__(self):
         return f"BettiTable({len(self.entries)} entries, field={self.field})"
@@ -396,8 +363,3 @@ def is_cohen_macaulay(cplx, field):
             if j < d and r:
                 return False
     return True
-
-
-def depth_of_direct_sum(ideals, field):
-    """depth of a finite direct sum of quotients: the minimum summand depth."""
-    return min(depth(i, field) for i in ideals)

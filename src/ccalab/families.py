@@ -95,7 +95,6 @@ def f_family_report(
     expected=None,
     parameters=None,
     trace_powers=(),
-    bound=None,
 ):
     """Verify every computable claim about A = T/(cap (F_i)) and B = (+) T/(F_i).
 
@@ -257,7 +256,7 @@ def f_family_report(
             prof.annihilator_ok,
         )
 
-    tb = bound if bound is not None else cond.max_gen_degree() + 3
+    tb = cond.max_gen_degree() + 3
     verdict = trace_ideal_check(fam, cond, bound=tb)
     rep.check(
         "trace.conductor",

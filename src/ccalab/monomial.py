@@ -480,20 +480,6 @@ class MonomialIdeal:
         added = big.n - self.context.n
         return MonomialIdeal(big, new_gens), added
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "vars": list(self.context.names),
-            "gens": [list(g.exps) for g in self.gens],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        ctx = VarContext(tuple(data["vars"]))
-        return cls.from_exponents(ctx, data["gens"])
-
-
 @dataclass(frozen=True)
 class MonomialPrime:
     """A monomial prime, generated exactly by its support variables."""
@@ -595,11 +581,3 @@ def quotient_height(J, ambient):
         )
         best = ht if best is None else min(best, ht)
     return best
-
-
-def quotient_dim(J, ambient):
-    """Krull dimension of (T/ambient)/(J) = T/(J + ambient)."""
-    total = J + ambient
-    if total.is_unit():
-        return -1
-    return total.height_and_dim()[1]

@@ -72,19 +72,3 @@ def p_format(a, ctx):
         else:
             parts.append(f"{c}*{mono}")
     return " + ".join(parts)
-
-
-def p_from_json(data):
-    """Sparse coefficient map: [{"exps": [...], "coeff": "p/q"}, ...]."""
-    out = {}
-    for term in data:
-        c = Fraction(str(term["coeff"]))
-        if c:
-            out[tuple(int(e) for e in term["exps"])] = c
-    return out
-
-
-def p_to_json(a):
-    return [
-        {"exps": list(m), "coeff": str(c)} for m, c in sorted(a.items())
-    ]

@@ -9,9 +9,12 @@ Two modes:
 * congruence: A = {(x, y) in S x S : x == y mod q} inside B = S x S for a
   proper monomial ideal q (the fiber-product construction).
 
-Everything is graded and all linear algebra is exact over Q (the systems
-are all defined over the prime field, so the characteristic never enters
-here).  Per-degree computations are independent of each other.
+Everything is graded, and this layer solves every system exactly over Q.
+That is exact for monomial data in any characteristic: its subspaces are
+coordinate subspaces.  For linear forms the answer can depend on the
+characteristic: with F = {x4}, {x5} in five variables, x1+x2, x2+x3,
+x1+x3 are B-regular over Q but not over F_2.  Per-degree computations
+are independent of each other.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     MonomialPrime,
-    VarContext,
     intersect_all,
     monomials_of_degree,
     sum_all,
@@ -104,15 +106,6 @@ class PullbackFamily:
     @classmethod
     def congruence(cls, q):
         return cls(q.context, CONGRUENCE, q=q)
-
-    @classmethod
-    def from_json(cls, data):
-        if data.get("mode") == "congruence":
-            return cls.congruence(
-                MonomialIdeal.from_json({"vars": data["vars"], "gens": data["q"]})
-            )
-        ctx = VarContext(tuple(data["vars"]))
-        return cls.from_supports(ctx, data["F"])
 
     @property
     def ell(self):

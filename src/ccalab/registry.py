@@ -66,7 +66,7 @@ def _artinian(params):
     return ArtinianQuotient(ctx, MonomialIdeal.from_strings(ctx, params["gens"]))
 
 
-def run_example(example_id, field=QQ, bound=None):
+def run_example(example_id, field=QQ):
     """Build and verify a registered instance; returns its report."""
     entry = get_entry(example_id)
     kind = entry["kind"]
@@ -79,7 +79,6 @@ def run_example(example_id, field=QQ, bound=None):
             expected=expected,
             parameters=params.get("parameters"),
             trace_powers=tuple(params.get("trace_powers", ())),
-            bound=bound,
         )
         if not field.is_rationals:
             rep.config["field"] = str(field)

@@ -70,9 +70,6 @@ class VerificationReport:
             "claims": [c.to_json() for c in self.claims],
         }
 
-    def to_json_text(self):
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
-
     def to_table(self):
         lines = [f"== {self.subject} =="]
         for c in self.claims:

@@ -138,26 +138,6 @@ class TraceVerdict:
         }
 
 
-def trace_ideal_check_ambient(ideal):
-    """Trace test in the ambient polynomial ring, by colon arithmetic.
-
-    With a a monomial in I: I is trace iff aT : I == aI : I (both colons
-    are the a-scaled versions of T:I and I:I inside the fraction field).
-    """
-    ctx = ideal.context
-    if ideal.is_unit():
-        return TraceVerdict(Verdict.PASS, None, None, "unit ideal: T:T = T = T:T")
-    if ideal.is_zero():
-        raise ValueError("trace test needs a nonzero ideal")
-    a = ideal.gens[0]
-    aT = MonomialIdeal(ctx, [a])
-    left = aT.colon(ideal)
-    right = (aT * ideal).colon(ideal)
-    if left == right:
-        return TraceVerdict(Verdict.PASS, None, None, "aT:I = aI:I")
-    return TraceVerdict(Verdict.FAIL, None, None, "aT:I != aI:I")
-
-
 def trace_ideal_check(fam, ideal, bound=None):
     """Certificate pipeline: is I a trace ideal of A with I:I = A:I = B?
 

@@ -253,11 +253,6 @@ def subalgebra_closure(gens, field, precision=DEFAULT_PRECISION, margin=DEFAULT_
     return TruncatedSubalgebra(gens, field, precision, margin)
 
 
-def semigroup_ring(h, field, precision=DEFAULT_PRECISION, margin=DEFAULT_MARGIN):
-    """The monomial subalgebra k[t^a : a in gens] as a truncated model."""
-    return subalgebra_closure([{g: 1} for g in h.gens], field, precision, margin)
-
-
 # -- quadratic extension models ------------------------------------------
 
 

@@ -46,33 +46,6 @@ def test_verify_bad_field_exits_two():
     assert res.output.splitlines() == ["error: cannot parse field 'fp:abc'"]
 
 
-def test_verify_negative_degree_bound_exits_two():
-    # degree bound -1 leaves no degree to verify: an input error, not a PASS
-    res = run("verify", "two-planes", "--degree-bound", "-1")
-    assert res.exit_code == 2
-    assert "PASS" not in res.output
-    assert "degree bound -1" in res.output
-
-
-def test_verify_degree_bound_below_generator_degree_exits_two():
-    # the trace check's colon keeps rejecting a bound under its ideal's degree
-    res = run("verify", "two-planes", "--degree-bound", "0")
-    assert res.exit_code == 2
-    assert res.output.splitlines() == [
-        "error: degree bound 0 is below the ideal's generator degree 1"
-    ]
-
-
-def test_verify_large_degree_bound_is_stamped():
-    # the trace check's cost does not grow with the bound it stamps
-    res = run("verify", "ffamily-grid-l3-m2", "--degree-bound", "40", "--format", "json")
-    assert res.exit_code == 0
-    (report,) = json.loads(res.output)["reports"]
-    (claim,) = [c for c in report["claims"] if c["id"] == "trace.conductor"]
-    assert claim["bound"] == 40
-    assert claim["note"] == "I:I = A:I = B up to degree 40"
-
-
 def test_verify_tampered_expected_exits_one(monkeypatch):
     data = copy.deepcopy(registry.load_registry())
     for entry in data["families"]:
@@ -215,11 +188,8 @@ def _contract_cases():
             ["subalgebra", "--gens", ",".join(gens), "--field", rng.choice(fields),
              "--prec", str(rng.randint(0, 60)), "--margin", str(rng.randint(-5, 20))]
         )
-    for bound in range(-3, 7):
-        cases.append(
-            ["verify", "two-planes", "--field", fields[bound % len(fields)],
-             "--degree-bound", str(bound)]
-        )
+    for field in fields:
+        cases.append(["verify", "two-planes", "--field", field])
     return cases
 
 

@@ -10,7 +10,6 @@ from ccalab.monomial import (
     intersect_all,
     make_context,
     parse_monomial,
-    quotient_dim,
     quotient_height,
 )
 
@@ -240,7 +239,7 @@ def test_height_in_quotient_families():
     defining = intersect_all(primes)
     maxideal = MonomialIdeal.from_support(ctx, ctx.names)
     assert quotient_height(maxideal, defining) == 2
-    assert quotient_dim(MonomialIdeal.zero(ctx), defining) == 2
+    assert defining.height_and_dim()[1] == 2
 
 
 def test_height_unit_rejected():
@@ -308,13 +307,3 @@ def test_outputs_carry_no_divisor_pairs():
             for p in gens:
                 for q in gens:
                     assert p is q or not p.divides(q)
-
-
-# -- serialization --------------------------------------------------------------
-
-
-def test_json_round_trip():
-    i = ideal(CTX4, "x*z", "y^2")
-    data = i.to_json()
-    assert data == {"vars": ["x", "y", "z", "w"], "gens": [[1, 0, 1, 0], [0, 2, 0, 0]]}
-    assert MonomialIdeal.from_json(data) == i

@@ -70,17 +70,6 @@ def test_congruence_needs_proper_ideal():
         PullbackFamily.congruence(MonomialIdeal.unit(CTX4))
 
 
-def test_from_json_both_modes():
-    fam = PullbackFamily.from_json(
-        {"vars": ["X", "Y", "Z", "W"], "F": [["X", "Y"], ["Z", "W"]]}
-    )
-    assert fam.ell == 2 and fam.mode == "intersection"
-    fam2 = PullbackFamily.from_json(
-        {"mode": "congruence", "vars": ["X1", "X2"], "q": [[2, 0], [0, 1]]}
-    )
-    assert fam2.mode == "congruence" and fam2.ell == 2
-
-
 # -- image membership -------------------------------------------------------------
 
 
@@ -134,9 +123,7 @@ def test_conductor_congruence_returns_q(fiber_x1sq):
 
 
 def test_conductor_is_computed_once_per_family(monkeypatch):
-    fam = PullbackFamily.from_json(
-        {"vars": ["X", "Y", "Z", "W"], "F": [["X", "Y"], ["Z", "W"]]}
-    )
+    fam = PullbackFamily.from_supports(CTX4, [["X", "Y"], ["Z", "W"]])
     first = conductor(fam)
     # a corrupted direct path disagrees on a new family; the checked result is reused
     monkeypatch.setattr(PullbackFamily, "basis_A", lambda self, d: [])

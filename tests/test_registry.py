@@ -6,7 +6,8 @@ import pytest
 
 from ccalab.errors import MethodDisagreementError
 from ccalab.families import fiber_product_report
-from ccalab.polys import p_from_json, p_to_json
+from ccalab.linalg import GF
+from ccalab.monomial import VarContext
 from ccalab.pullback import PullbackFamily, conductor
 from ccalab.registry import (
     UnknownExampleError,
@@ -19,6 +20,7 @@ from ccalab.registry import (
 from ccalab.report import reports_json_text
 
 GOLDEN = Path(__file__).parent / "golden"
+F_FAMILY_IDS = ("two-planes", "ffamily-n6-m4", "ffamily-grid-l3-m2", "ffamily-chain-q3-m4")
 
 
 def test_every_registered_example_passes():
@@ -32,10 +34,17 @@ def test_every_registered_example_passes():
     assert reports_json_text(reports) + "\n" == golden
 
 
-def test_explicit_bound_matches_golden_bytes():
-    # the same bytes as `ccalab verify all --degree-bound 4 --format json`
-    reports = [run_example(eid, bound=4) for eid in example_ids()]
-    golden = (GOLDEN / "verify_all_bound4.json").read_text()
+@pytest.mark.parametrize("p", [2, 3])
+def test_field_changes_only_the_f_family_config(p):
+    # `verify all --field fp:<p>` has the Q bytes, apart from the field the
+    # f-family reports record in their config
+    field = GF(p)
+    reports = [run_example(eid, field=field) for eid in example_ids()]
+    for r in reports:
+        if r.subject in F_FAMILY_IDS:
+            assert r.config == {"field": str(field)}
+            r.config = {}
+    golden = (GOLDEN / "verify_all.json").read_text()
     assert reports_json_text(reports) + "\n" == golden
 
 
@@ -89,22 +98,14 @@ def test_report_json_shape():
     for claim in data["claims"]:
         assert set(claim) == {"id", "anchor", "expected", "computed", "pass", "bound", "note"}
     # deterministic serialization
-    assert rep.to_json_text() == run_example("kq-d2").to_json_text()
-
-
-def test_sparse_element_round_trip():
-    poly = p_from_json(
-        [{"exps": [1, 0, 2], "coeff": "3/2"}, {"exps": [0, 1, 0], "coeff": "-1"}]
-    )
-    assert p_to_json(p_from_json(p_to_json(poly))) == p_to_json(poly)
-    assert len(poly) == 2
+    assert reports_json_text([rep]) == reports_json_text([run_example("kq-d2")])
 
 
 def test_method_disagreement_is_surfaced(monkeypatch):
     # corrupt the A-basis the direct path solves against: the conductor's two
     # routes must then disagree, and the error surfaces instead of being swallowed
-    ctx_fam = PullbackFamily.from_json(
-        {"vars": ["X", "Y", "Z", "W"], "F": [["X", "Y"], ["Z", "W"]]}
+    ctx_fam = PullbackFamily.from_supports(
+        VarContext(("X", "Y", "Z", "W")), [["X", "Y"], ["Z", "W"]]
     )
     monkeypatch.setattr(PullbackFamily, "basis_A", lambda self, d: [])
     with pytest.raises(MethodDisagreementError, match="degree 1: direct dim 0, closed dim 4"):

@@ -21,7 +21,6 @@ from ccalab.s2 import (
     s2_membership,
     s2_membership_oracle,
     trace_ideal_check,
-    trace_ideal_check_ambient,
     unmixed_component_principal,
 )
 from ccalab.suites import random_antichain, random_monomial_ideal
@@ -136,23 +135,6 @@ def test_s2_membership_agrees_with_oracle_randomly():
 
 
 # -- trace ideals ----------------------------------------------------------------------
-
-
-def test_principal_ideal_not_trace_in_ambient():
-    ctx = VarContext(("x", "y"))
-    v = trace_ideal_check_ambient(MonomialIdeal.from_strings(ctx, ["x"]))
-    assert v.is_trace is Verdict.FAIL
-
-
-def test_max_ideal_is_trace_in_ambient():
-    ctx = VarContext(("x", "y"))
-    v = trace_ideal_check_ambient(MonomialIdeal.from_strings(ctx, ["x", "y"]))
-    assert v.is_trace is Verdict.PASS
-
-
-def test_unit_ideal_trace_trivially():
-    ctx = VarContext(("x", "y"))
-    assert trace_ideal_check_ambient(MonomialIdeal.unit(ctx)).is_trace is Verdict.PASS
 
 
 def test_trace_pipeline_max_ideal_powers():

@@ -11,7 +11,6 @@ from ccalab.semigroup import (
     quadratic_extension_report,
     semigroup_cone_report,
     semigroup_invariants,
-    semigroup_ring,
     subalgebra_closure,
     subalgebra_report,
 )
@@ -94,7 +93,7 @@ def test_parse_t_series():
 
 def test_monomial_closure_matches_semigroup_pattern():
     h = NumericalSemigroup((3, 4))
-    p = semigroup_ring(h, QQ, 20, 5)
+    p = subalgebra_closure([{g: 1} for g in h.gens], QQ, 20, 5)
     assert p.valuations() == [x for x in range(15) if h.contains(x)]
     assert p.conductor_exponent() == 6
 
@@ -102,7 +101,7 @@ def test_monomial_closure_matches_semigroup_pattern():
 def test_monomial_closure_pattern_for_many_semigroups():
     for gens in [(2, 3), (2, 5), (3, 5), (4, 5, 6)]:
         h = NumericalSemigroup(gens)
-        p = semigroup_ring(h, QQ, 30, 8)
+        p = subalgebra_closure([{g: 1} for g in h.gens], QQ, 30, 8)
         assert p.valuations() == [x for x in range(22) if h.contains(x)]
         assert p.conductor_exponent() == h.conductor()
 

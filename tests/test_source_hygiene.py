@@ -1,0 +1,108 @@
+"""Source hygiene: every top-level name in ccalab is reached, and no import idles.
+
+A module-level function or class counts as reached when some other
+top-level statement in `src/ccalab` or `bench/` names it: as a name, an
+attribute, an import, or an identifier inside a string constant (the
+bench tracer names its spans by string); docstrings do not count.  A
+click command is reached through its decorator.  Neither tests nor the
+package exports in `__init__.py` count: a definition only they name is
+one no report, CLI command, suite or bench item reaches.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ccalab"
+BENCH = ROOT / "bench"
+
+# s2_equals_B_test waits to back the `s2.hull-is-B` entry (ROADMAP item 6).
+ALLOWED_UNREACHED = {"s2_equals_B_test"}
+
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_docstring(node):
+    return (
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def _names_in(node):
+    """Every identifier a statement mentions, docstrings aside."""
+    docstrings = {
+        id(sub.body[0].value)
+        for sub in ast.walk(node)
+        if isinstance(getattr(sub, "body", None), list)
+        and sub.body
+        and _is_docstring(sub.body[0])
+    }
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if id(sub) not in docstrings:
+                out.update(_IDENT.findall(sub.value))
+    return out
+
+
+def _is_click_command(node):
+    for dec in getattr(node, "decorator_list", ()):
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def test_every_top_level_definition_is_reached():
+    mentions = {}
+    files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    for path in files:
+        if path == SRC / "__init__.py":  # an export alone reaches nothing
+            continue
+        for i, node in enumerate(_parse(path).body):
+            mentions[(path, i)] = _names_in(node)
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for i, node in enumerate(_parse(path).body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in ALLOWED_UNREACHED or _is_click_command(node):
+                continue
+            if not any(
+                node.name in names for key, names in mentions.items() if key != (path, i)
+            ):
+                unreached.append(f"{path.name}:{node.name}")
+    assert not unreached, f"reached by nothing outside their own definition: {unreached}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package exports
+            continue
+        tree = _parse(path)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{bound}")
+    assert not unused, f"imported but never used: {unused}"
