@@ -40,8 +40,6 @@ from .pullback import (
 from .report import Claim, VerificationReport
 from .s2 import (
     QuotientRing,
-    TraceVerdict,
-    Verdict,
     s2_membership,
     trace_ideal_check,
     unmixed_component_principal,

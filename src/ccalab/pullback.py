@@ -413,14 +413,6 @@ class CokernelProfile:
     socle_dim: int
     annihilator_ok: bool
 
-    def to_json(self):
-        return {
-            "length": self.length,
-            "hilbert": list(self.hilbert),
-            "socle_dim": self.socle_dim,
-            "annihilator_ok": self.annihilator_ok,
-        }
-
 
 def cokernel_profile(fam):
     """Length, Hilbert function, and socle dimension of B/A.
@@ -612,22 +604,31 @@ def verify_generation(fam, cond, elements):
     return not (details["forward"] or details["reverse"]), details
 
 
-def regular_sequence_on_B(fam, elements, bound):
-    """Are the elements a B-regular sequence, degree-wise up to the bound?
+def regular_sequence_on_B(fam, forms):
+    """Are the linear forms a B-regular sequence?
 
-    For each prefix, multiplication by the next element must be injective
-    on B / (previous elements) B in every degree <= bound.  A negative bound
-    raises PrecisionError: no degree would be checked.
+    B is the direct sum of the polynomial rings on the free variables of
+    its components, and a sequence is regular on a direct sum iff it is
+    regular on each summand.  Linear forms in a polynomial ring are a
+    regular sequence iff they are linearly independent (Bruns-Herzog
+    1.1), so r forms are B-regular iff their restrictions to every
+    component span a space of dimension r, decided over Q.  Anything that
+    is not a linear form raises ValueError.
+
+    >>> from ccalab.monomial import make_context
+    >>> from ccalab.polys import p_linear
+    >>> fam = PullbackFamily.from_supports(make_context(5), [["x4"], ["x5"]])
+    >>> forms = [p_linear(5, [0, 1]), p_linear(5, [1, 2]), p_linear(5, [0, 2])]
+    >>> regular_sequence_on_B(fam, forms)  # over F_2 the rank is 2: not regular
+    True
     """
-    if bound < 0:
-        raise PrecisionError(f"degree bound {bound} is negative")
-    for a in elements:
-        if p_degree(a) is None:
-            raise ValueError("elements must be homogeneous and nonzero")
-    for k, a in enumerate(elements):
-        prev = GradedSubmodule.multiples(fam, elements[:k])
-        for d in range(bound + 1):
-            # regular iff the kernel of multiplication is exactly prev B
-            if stable_subspace(fam, prev, [a], d) != prev.piece(d):
-                return False
+    for a in forms:
+        if p_degree(a) != 1:
+            raise ValueError("elements must be linear forms")
+    for i in range(fam.ell):
+        span = Subspace(QQ, fam.context.n)
+        for a in forms:
+            span.insert({m.index(1): c for m, c in fam.reduce_poly(i, a).items()})
+        if span.dim < len(forms):
+            return False
     return True

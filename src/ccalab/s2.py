@@ -5,17 +5,13 @@ ideals.  For a non-zerodivisor a on A, the unmixed component U(aA) is
 the intersection of the primary components of (a) + a at its
 inclusion-minimal primes; membership of a fraction m/a in the smallest
 extension of A with a height >= 2 conductor is decided by m in U(aA).
-
-Verdicts are three-valued so a degree-bounded certificate is never
-silently reported as an exact one.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .errors import PrecisionError, UnitIdealError, ZeroDivisorError
+from .errors import UnitIdealError, ZeroDivisorError
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -83,13 +79,16 @@ def s2_membership(ring, m, a):
     return unmixed_component_principal(ring, a).contains(m)
 
 
-def s2_membership_oracle(ring, m, a, degree_cap=4):
+# the oracle's multiplier sweep stops at this degree
+_ORACLE_DEGREE_CAP = 4
+
+
+def s2_membership_oracle(ring, m, a):
     """Brute-force oracle for s2_membership (test-only device).
 
-    Enumerates all monomials j with deg j <= degree_cap such that
+    Enumerates all monomials j with deg j <= _ORACLE_DEGREE_CAP such that
     j*m lies in (a) + defining, and asks whether the ideal they generate
-    has height >= 2 in the quotient.  Documented caps: degree 4, small
-    variable counts.
+    has height >= 2 in the quotient.  Meant for small variable counts.
     """
     if not ring.is_nonzerodivisor(a):
         raise ZeroDivisorError(f"{a!r} is a zerodivisor on the quotient")
@@ -98,7 +97,7 @@ def s2_membership_oracle(ring, m, a, degree_cap=4):
         return True
     n = ring.context.n
     found = []
-    for d in range(degree_cap + 1):
+    for d in range(_ORACLE_DEGREE_CAP + 1):
         for exps in monomials_of_degree(n, d):
             j = Monomial(exps)
             if target.contains(j * m):
@@ -111,54 +110,23 @@ def s2_membership_oracle(ring, m, a, degree_cap=4):
     return quotient_height(J, ring.defining) >= 2
 
 
-class Verdict(enum.Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    BOUNDED = "verified-up-to-bound"
-
-    def __bool__(self):
-        return self is not Verdict.FAIL
-
-
-@dataclass(frozen=True)
-class TraceVerdict:
-    is_trace: Verdict
-    endo_ring_is_B: Verdict | None
-    bound: int | None
-    reason: str
-
-    def to_json(self):
-        return {
-            "is_trace": self.is_trace.value,
-            "endo_ring_is_B": None
-            if self.endo_ring_is_B is None
-            else self.endo_ring_is_B.value,
-            "bound": self.bound,
-            "reason": self.reason,
-        }
-
-
-def trace_ideal_check(fam, ideal, bound=None):
-    """Certificate pipeline: is I a trace ideal of A with I:I = A:I = B?
+def trace_ideal_check(fam, ideal):
+    """Is I a trace ideal of A with I:I = A:I = B?  Returns (passed, reason).
 
     Preconditions (violations raise): I contains a non-zerodivisor and
-    its height in A is at least 2.  Certificate checks (failures return a
-    FAIL verdict, meaning the certificate does not apply): the conductor
-    has height >= 2, the component supports have equal size (A unmixed),
-    I sits inside the conductor, and I is B-stable.  A full pass
-    certifies the trace property exactly.
+    its height in A is at least 2.  Certificate checks (a failure returns
+    False with its reason): the conductor has height >= 2, the component
+    supports have equal size (A unmixed), I sits inside the conductor, and
+    I is B-stable.  These certify the trace property.
 
-    With a bound D, the endo-ring comparison asks whether I:I contains B,
-    by a linear-algebra witness independent of the B-stability check
-    (which lifts products to T): every e_i g, over the idempotents e_i and
-    the generators g of I, must lie in the degree-deg(g) piece of IA.
-    This is equivalent to I:I = B.  Each x^m e_i is the diagonal x^m of A
-    times e_i, so B = sum A e_i, and I:I, an A-module, contains B iff it
-    contains every e_i.  As the e_i have degree 0, the same holds for the
-    pieces up to any D >= 0, so nothing is swept over degrees and the cost
-    does not depend on D.  I <= A gives I:I <= A:I <= B, so A:I = B as
-    well.  D is kept as the stamp of the verdict; a D below the generator
-    degree of I raises PrecisionError.
+    The endo-ring comparison then asks whether I:I contains B, by a
+    linear-algebra witness independent of the B-stability check (which
+    lifts products to T): every e_i g, over the idempotents e_i and the
+    generators g of I, must lie in the degree-deg(g) piece of IA.  Each
+    x^m e_i is the diagonal x^m of A times e_i, so B = sum A e_i, and I:I,
+    an A-module, contains B iff it contains every e_i.  The e_i have
+    degree 0, so this decides I:I = B in every degree at once and nothing
+    is swept over degrees.  I <= A gives I:I <= A:I <= B, so A:I = B as well.
     """
     defining = fam.defining_ideal()
     cond = conductor(fam)
@@ -168,39 +136,21 @@ def trace_ideal_check(fam, ideal, bound=None):
         if all(g.support_mask() & p.mask for g in ideal.gens):
             raise ZeroDivisorError("the ideal consists of zerodivisors")
     if (ideal + defining).is_unit():
-        return TraceVerdict(Verdict.PASS, Verdict.PASS, None, "unit ideal")
+        return True, "unit ideal"
     if quotient_height(ideal, defining) < 2:
         raise ValueError("the trace certificate needs height >= 2")
     if quotient_height(cond, defining) < 2:
-        return TraceVerdict(Verdict.FAIL, None, None, "conductor height < 2")
-    sizes = {p.size() for p in fam.primes}
-    if len(sizes) != 1:
-        return TraceVerdict(Verdict.FAIL, None, None, "components not unmixed")
-    for g in ideal.gens:
-        if not cond.contains(g):
-            return TraceVerdict(
-                Verdict.FAIL, None, None, "ideal escapes the conductor"
-            )
+        return False, "conductor height < 2"
+    if len({p.size() for p in fam.primes}) != 1:
+        return False, "components not unmixed"
+    if not all(cond.contains(g) for g in ideal.gens):
+        return False, "ideal escapes the conductor"
     stable = ideal + defining
     if any(lift_failures(fam, p_of_monomial(g), stable) for g in ideal.gens):
-        return TraceVerdict(Verdict.FAIL, None, None, "ideal not B-stable")
-    if bound is None:
-        return TraceVerdict(
-            Verdict.PASS,
-            None,
-            None,
-            "certificate: conductor ht >= 2, unmixed, I <= A:B, I B-stable",
-        )
-    if bound < ideal.max_gen_degree():
-        raise PrecisionError(
-            f"degree bound {bound} is below the ideal's generator degree "
-            f"{ideal.max_gen_degree()}"
-        )
-    if not GradedSubmodule.from_ideal(fam, ideal).missing(ideal):
-        return TraceVerdict(
-            Verdict.PASS, Verdict.BOUNDED, bound, f"I:I = A:I = B up to degree {bound}"
-        )
-    return TraceVerdict(Verdict.FAIL, Verdict.FAIL, bound, "colon modules differ from B")
+        return False, "ideal not B-stable"
+    if GradedSubmodule.from_ideal(fam, ideal).missing(ideal):
+        return False, "colon modules differ from B"
+    return True, "I:I = A:I = B"
 
 
 def s2_equals_B_test(fam, a, parameters=None):

@@ -7,8 +7,9 @@ exhaustive prime enumeration for minimal primes, a dense
 echelon (the engine's original one) as the reference for the sparse one,
 the engine's original per-mode constructions of the pullback layer, its
 original element-by-element membership tests for the conductor and its
-annihilation of B/A, and its original two-colon endomorphism-ring
-comparison for the trace check.
+annihilation of B/A, its original two-colon endomorphism-ring
+comparison for the trace check, and its original degree sweep for
+B-regular sequences.
 """
 
 from fractions import Fraction
@@ -18,8 +19,14 @@ from ccalab.complexes import BettiTable, complex_of, reduced_homology
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
 from ccalab.polys import p_degree
-from ccalab.pullback import CONGRUENCE, BElement, GradedSubmodule, colon_in_B
-from ccalab.s2 import TraceVerdict, Verdict, trace_ideal_check
+from ccalab.pullback import (
+    CONGRUENCE,
+    BElement,
+    GradedSubmodule,
+    colon_in_B,
+    stable_subspace,
+)
+from ccalab.s2 import trace_ideal_check
 
 
 def all_monomials_up_to(n, max_degree):
@@ -334,22 +341,41 @@ def annihilates_by_products(fam, ideal, d):
 # -- the two-colon endomorphism-ring comparison of the trace check -------------
 
 
-def trace_verdict_two_colons(fam, ideal, bound):
-    """The bounded trace verdict with both colons solved; each must fill B.
+# the reasons trace_ideal_check gives once the certificate has passed
+_WITNESS_PASS = "I:I = A:I = B"
+_WITNESS_FAIL = "colon modules differ from B"
 
-    The certificate stage is the engine's own (trace_ideal_check without a
-    bound).  Returns the verdict and the colon pair, or None for the pair
-    when the certificate decided alone.
+
+def trace_verdict_two_colons(fam, ideal, bound):
+    """The trace verdict with both colons solved up to the bound; each must fill B.
+
+    The certificate stage is the engine's own: a verdict that trace_ideal_check
+    reaches before its idempotent witness is returned as it stands, with None
+    for the colon pair.  Otherwise returns (passed, reason) and the colon pair.
     """
-    cert = trace_ideal_check(fam, ideal)
-    if cert.is_trace is Verdict.FAIL or cert.endo_ring_is_B is not None:
-        return cert, None
+    verdict = trace_ideal_check(fam, ideal)
+    if verdict[1] not in (_WITNESS_PASS, _WITNESS_FAIL):
+        return verdict, None
     endo = colon_in_B(fam, GradedSubmodule.from_ideal(fam, ideal), ideal, bound=bound)
     dual = colon_in_B(fam, GradedSubmodule.unit_A(fam), ideal, bound=bound)
     if endo.equals_all_of_B(fam) and dual.equals_all_of_B(fam):
-        verdict = TraceVerdict(
-            Verdict.PASS, Verdict.BOUNDED, bound, f"I:I = A:I = B up to degree {bound}"
-        )
-    else:
-        verdict = TraceVerdict(Verdict.FAIL, Verdict.FAIL, bound, "colon modules differ from B")
-    return verdict, (endo, dual)
+        return (True, _WITNESS_PASS), (endo, dual)
+    return (False, _WITNESS_FAIL), (endo, dual)
+
+
+# -- the degree sweep of the B-regular sequence test ----------------------------
+
+
+def regular_sequence_by_degree_sweep(fam, forms, bound):
+    """Are the forms a B-regular sequence, degree-wise up to the bound?
+
+    For each prefix, multiplication by the next form must be injective on
+    B / (previous forms) B in every degree <= bound.
+    """
+    for k, a in enumerate(forms):
+        prev = GradedSubmodule.multiples(fam, forms[:k])
+        for d in range(bound + 1):
+            # regular iff the kernel of multiplication is exactly prev B
+            if stable_subspace(fam, prev, [a], d) != prev.piece(d):
+                return False
+    return True

@@ -9,6 +9,7 @@ from ccalab.monomial import MonomialIdeal, MonomialPrime, VarContext, make_conte
 from ccalab.polys import p_linear, p_mono, p_of_monomial
 from ccalab import pullback
 from ccalab.pullback import (
+    CONGRUENCE,
     INTERSECTION,
     BElement,
     GradedSubmodule,
@@ -267,12 +268,47 @@ def test_generation_fiber_alphas(fiber_x1sq):
 def test_regular_sequence(two_planes):
     a = p_linear(4, [0, 2])
     b = p_linear(4, [1, 3])
-    assert regular_sequence_on_B(two_planes, [a, b], 3)
+    assert regular_sequence_on_B(two_planes, [a, b])
     # a, a is never regular: multiplication by a is zero on B/aB
-    assert not regular_sequence_on_B(two_planes, [a, a], 2)
-    # a negative bound checks no degree, so it must not read as regular
-    with pytest.raises(PrecisionError):
-        regular_sequence_on_B(two_planes, [a, a], -1)
+    assert not regular_sequence_on_B(two_planes, [a, a])
+    # the rank test decides linear forms only
+    square = p_mono((2, 0, 0, 0))
+    for bad in (square, {**a, **square}, {}, p_mono((0, 0, 0, 0))):
+        with pytest.raises(ValueError):
+            regular_sequence_on_B(two_planes, [a, bad])
+
+
+def test_regular_sequence_rank_test_matches_degree_sweep():
+    rng = random.Random(5)
+    outcomes = {(mode, got): 0 for mode in (INTERSECTION, CONGRUENCE) for got in (True, False)}
+    for trial in range(200):
+        n = rng.randint(3, 6)
+        ctx = make_context(n)
+        if trial % 4 == 3:
+            q = random_monomial_ideal(rng, ctx, max_gens=3, max_deg=2)
+            if q.is_unit():
+                continue
+            fam = PullbackFamily.congruence(q)
+        else:
+            subsets = random_antichain(rng, n, rng.randint(2, 3))
+            if subsets is None:
+                continue
+            fam = PullbackFamily.from_supports(
+                ctx, [[ctx.names[i] for i in s] for s in subsets]
+            )
+        forms = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(1, 3))
+            forms.append(p_linear(n, support, [rng.choice((1, -1, 2)) for _ in support]))
+        if trial % 3 == 0:
+            # a scaled copy of an earlier form: dependent in every component
+            forms.append({m: -2 * c for m, c in rng.choice(forms).items()})
+        got = regular_sequence_on_B(fam, forms)
+        assert got == oracles.regular_sequence_by_degree_sweep(fam, forms, 3), (fam, forms)
+        outcomes[fam.mode, got] += 1
+    assert min(outcomes.values()) >= 10
+    assert sum(v for (_, got), v in outcomes.items() if got) >= 20
+    assert sum(v for (_, got), v in outcomes.items() if not got) >= 20
 
 
 def test_conductor_annihilates_cokernel(overlap6):
