@@ -13,7 +13,6 @@ from .complexes import (
 )
 from .families import (
     ArtinianQuotient,
-    FFamilySpec,
     f_family_report,
     fiber_product_report,
     k_plus_q_report,

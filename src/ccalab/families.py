@@ -22,7 +22,6 @@ from .monomial import (
     MonomialIdeal,
     VarContext,
     intersect_all,
-    make_context,
     quotient_height,
 )
 from .polys import p_linear, p_mono
@@ -43,59 +42,8 @@ from .s2 import trace_ideal_check
 _LEGACY_STAMP = 3
 
 
-@dataclass(frozen=True)
-class FFamilySpec:
-    """Subsets F_1..F_l of the variables, nonempty and forming an antichain."""
-
-    context: VarContext
-    subsets: tuple
-
-    def __post_init__(self):
-        subs = tuple(frozenset(s) for s in self.subsets)
-        object.__setattr__(self, "subsets", subs)
-        if len(subs) < 2:
-            raise ValueError("need at least two subsets")
-        for s in subs:
-            if not s:
-                raise ValueError("subsets must be nonempty")
-            for name in s:
-                self.context.index(name)
-        for i, a in enumerate(subs):
-            for j, b in enumerate(subs):
-                if i != j and a <= b:
-                    raise ValueError("subsets must form an antichain")
-
-    @classmethod
-    def from_indices(cls, n, index_sets, prefix="x"):
-        """1-based variable indices, variables named prefix1..prefixn."""
-        ctx = make_context(n, prefix)
-        return cls(ctx, tuple(frozenset(f"{prefix}{i}" for i in s) for s in index_sets))
-
-    def family(self):
-        return PullbackFamily.from_supports(self.context, [sorted(s) for s in self.subsets])
-
-    def primes(self):
-        return [MonomialIdeal.from_support(self.context, sorted(s)) for s in self.subsets]
-
-    def defining_ideal(self):
-        return intersect_all(self.primes())
-
-    def is_unmixed(self):
-        return len({len(s) for s in self.subsets}) == 1
-
-    def min_setminus(self):
-        return min(
-            len(a - b)
-            for a, b in itertools.permutations(self.subsets, 2)
-        )
-
-
-def _linear_form(ctx, names):
-    return p_linear(ctx.n, [ctx.index(nm) for nm in names])
-
-
 def f_family_report(
-    spec,
+    fam,
     field=QQ,
     expected=None,
     parameters=None,
@@ -103,17 +51,22 @@ def f_family_report(
 ):
     """Verify every computable claim about A = T/(cap (F_i)) and B = (+) T/(F_i).
 
+    fam: an intersection-mode PullbackFamily with at least two components.
     parameters: optional linear forms (lists of variable names) expected
-    to generate the conductor over B.  trace_powers: exponents l for
+    to generate the conductor over B.  trace_powers: exponents l >= 1 for
     which the trace test runs on (max ideal)^l.
     """
+    if fam.ell < 2:
+        raise ValueError("need at least two components")
+    if any(ell < 1 for ell in trace_powers):
+        raise ValueError("trace powers must be at least 1")
     expected = expected or {}
     rep = VerificationReport("f-family")
 
-    fam = spec.family()
-    defining = spec.defining_ideal()
-    primes = spec.primes()
-    n = spec.context.n
+    ctx = fam.context
+    defining = fam.defining_ideal()
+    primes = [p.ideal() for p in fam.primes]
+    maxideal = MonomialIdeal.from_support(ctx, ctx.names)
 
     cond = conductor(fam)  # raises MethodDisagreementError on a path mismatch
     rep.assert_true(
@@ -126,10 +79,9 @@ def f_family_report(
             "conductor.value",
             "computed conductor generators",
             sorted(expected["conductor_gens"]),
-            sorted(g.format(spec.context) for g in cond.gens),
+            sorted(g.format(ctx) for g in cond.gens),
         )
     if "conductor_is_max_ideal" in expected:
-        maxideal = MonomialIdeal.from_support(spec.context, spec.context.names)
         rep.check(
             "conductor.is-max-ideal",
             "I = m",
@@ -148,12 +100,16 @@ def f_family_report(
         ht,
         pair_formula,
     )
-    if spec.is_unmixed():
+    min_setminus = min(
+        (a.mask & ~b.mask).bit_count()
+        for a, b in itertools.permutations(fam.primes, 2)
+    )
+    if fam.is_unmixed():
         rep.check(
             "height.setminus-formula",
             "ht_A I = min |F_i - F_j|",
             ht,
-            spec.min_setminus(),
+            min_setminus,
         )
     if "ht_I" in expected:
         rep.check("height.I", "ht_A I", expected["ht_I"], ht)
@@ -163,7 +119,7 @@ def f_family_report(
         "dim.formula",
         "dim A = n - min |F_i|",
         dim_a,
-        n - min(len(s) for s in spec.subsets),
+        ctx.n - min(p.size() for p in fam.primes),
     )
     if "dim_A" in expected:
         rep.check("dim.A", "dim A", expected["dim_A"], dim_a)
@@ -178,7 +134,7 @@ def f_family_report(
     if "depth_A" in expected:
         rep.check("depth.A", "depth A", expected["depth_A"], depth_a)
 
-    if spec.is_unmixed():
+    if fam.is_unmixed():
         depth_b = min(depth(p, field) for p in primes)
         rep.check(
             "depth.B",
@@ -186,7 +142,7 @@ def f_family_report(
             dim_a,
             depth_b,
         )
-        if spec.min_setminus() >= 2:
+        if min_setminus >= 2:
             rep.check(
                 "theorem.family-bounds",
                 "ht I >= 2 and 0 < depth A < d",
@@ -231,7 +187,7 @@ def f_family_report(
             cond == rhs,
         )
     if "product_form" in expected:
-        rhs = _product_form_ideal(spec.context, expected["product_form"])
+        rhs = _product_form_ideal(ctx, expected["product_form"])
         rep.check(
             "conductor.product-form",
             "closed product form of I",
@@ -272,7 +228,6 @@ def f_family_report(
         cond,
         cond.max_gen_degree() + _LEGACY_STAMP,
     )
-    maxideal = MonomialIdeal.from_support(spec.context, spec.context.names)
     for ell in trace_powers:
         power = maxideal
         for _ in range(ell - 1):
@@ -285,7 +240,7 @@ def f_family_report(
         )
 
     if parameters:
-        forms = [_linear_form(spec.context, names) for names in parameters]
+        forms = [p_linear(ctx.n, [ctx.index(nm) for nm in names]) for names in parameters]
         ok, _detail = verify_generation(fam, cond, forms)
         rep.check(
             "generation.parameters",

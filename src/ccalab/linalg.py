@@ -151,7 +151,8 @@ class Subspace:
     as input too).  The basis maps each pivot column to the row that has
     its first nonzero entry, equal to 1, there and a zero in every other
     pivot column, so two Subspace objects are equal iff they describe the
-    same subspace.  Over Q, integral values are kept as ints.
+    same subspace.  Over Q, entries may be ints or Fractions: an inserted row
+    that was scaled or reduced holds Fractions, Fraction(1, 1) included.
     """
 
     __slots__ = ("field", "ambient", "rows")

@@ -62,6 +62,15 @@ def make_context(n, prefix="x"):
     return VarContext(tuple(f"{prefix}{i}" for i in range(1, n + 1)))
 
 
+def exps_support_mask(exps):
+    """Bit mask of the variables with a nonzero exponent."""
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
 class Monomial:
     """A monomial, stored as its exponent vector."""
 
@@ -89,11 +98,7 @@ class Monomial:
         return sum(self.exps)
 
     def support_mask(self):
-        m = 0
-        for i, e in enumerate(self.exps):
-            if e:
-                m |= 1 << i
-        return m
+        return exps_support_mask(self.exps)
 
     def support(self):
         return frozenset(i for i, e in enumerate(self.exps) if e)

@@ -34,6 +34,7 @@ from .monomial import (
     Monomial,
     MonomialIdeal,
     MonomialPrime,
+    exps_support_mask,
     intersect_all,
     monomials_of_degree,
     sum_all,
@@ -120,9 +121,13 @@ class PullbackFamily:
             raise ValueError("no monomial presentation in congruence mode")
         return intersect_all([p.ideal() for p in self.primes])
 
+    def is_unmixed(self):
+        """Do the component primes all have the same height (intersection mode)?"""
+        return len({p.size() for p in self.primes}) == 1
+
     def surviving(self, exps):
         """Components in which the monomial is nonzero."""
-        mask = _support_mask(exps)
+        mask = exps_support_mask(exps)
         return [i for i, free in enumerate(self._free) if mask & ~free == 0]
 
     def reduce_poly(self, i, poly):
@@ -130,7 +135,7 @@ class PullbackFamily:
         if self.mode == CONGRUENCE:
             return dict(poly)
         bad = ~self._free[i]
-        return {m: c for m, c in poly.items() if _support_mask(m) & bad == 0}
+        return {m: c for m, c in poly.items() if exps_support_mask(m) & bad == 0}
 
     # -- graded bases -------------------------------------------------------
 
@@ -185,14 +190,6 @@ class PullbackFamily:
             return f"PullbackFamily(congruence, q={self.q!r})"
         supp = ", ".join(repr(p) for p in self.primes)
         return f"PullbackFamily({supp})"
-
-
-def _support_mask(exps):
-    mask = 0
-    for k, e in enumerate(exps):
-        if e:
-            mask |= 1 << k
-    return mask
 
 
 class BElement:

@@ -16,14 +16,13 @@ from importlib import resources
 
 from .families import (
     ArtinianQuotient,
-    FFamilySpec,
     f_family_report,
     fiber_product_report,
     k_plus_q_report,
 )
 from .linalg import QQ, parse_field
 from .monomial import MonomialIdeal, VarContext, make_context
-from .pullback import cokernel_profile
+from .pullback import PullbackFamily, cokernel_profile
 from .semigroup import (
     QuadraticExtensionModel,
     quadratic_extension_report,
@@ -54,11 +53,14 @@ def get_entry(example_id):
     raise UnknownExampleError(example_id)
 
 
-def _f_family_spec(params):
+def _f_family(params):
+    """Named subsets over "vars", or 1-based "index_subsets" of x1..xn."""
     if "vars" in params:
-        ctx = VarContext(tuple(params["vars"]))
-        return FFamilySpec(ctx, tuple(frozenset(s) for s in params["subsets"]))
-    return FFamilySpec.from_indices(params["n"], params["index_subsets"])
+        return PullbackFamily.from_supports(VarContext(tuple(params["vars"])), params["subsets"])
+    return PullbackFamily.from_supports(
+        make_context(params["n"]),
+        [[f"x{i}" for i in s] for s in params["index_subsets"]],
+    )
 
 
 def _artinian(params):
@@ -74,7 +76,7 @@ def run_example(example_id, field=QQ):
     expected = entry.get("expected", {})
     if kind == "f_family":
         rep = f_family_report(
-            _f_family_spec(params),
+            _f_family(params),
             field=field,
             expected=expected,
             parameters=params.get("parameters"),
@@ -92,11 +94,7 @@ def run_example(example_id, field=QQ):
         )
         cross = params.get("crosscheck_f_family")
         if cross:
-            spec = FFamilySpec(
-                VarContext(tuple(cross["vars"])),
-                tuple(frozenset(s) for s in cross["subsets"]),
-            )
-            prof = cokernel_profile(spec.family())
+            prof = cokernel_profile(_f_family(cross))
             fiber_length = next(
                 c.computed for c in rep.claims if c.claim_id == "cokernel.length-vs-ring"
             )

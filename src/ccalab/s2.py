@@ -141,7 +141,7 @@ def trace_ideal_check(fam, ideal):
         raise ValueError("the trace certificate needs height >= 2")
     if quotient_height(cond, defining) < 2:
         return False, "conductor height < 2"
-    if len({p.size() for p in fam.primes}) != 1:
+    if not fam.is_unmixed():
         return False, "components not unmixed"
     if not all(cond.contains(g) for g in ideal.gens):
         return False, "ideal escapes the conductor"

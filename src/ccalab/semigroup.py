@@ -472,6 +472,13 @@ def subalgebra_report(
 
     gens = [parse_t_series(t) for t in gens_text]
     P = subalgebra_closure(gens, field, precision, margin)
+    # outside [0, window) a valuation or t-power claim would pass unearned
+    for key in ("valuations_present", "valuations_absent", "t_powers_present", "t_powers_absent"):
+        outside = [j for j in expected.get(key, ()) if not 0 <= j < P.window]
+        if outside:
+            raise PrecisionError(
+                f"{key} {outside} lie outside the certified window [0, {P.window})"
+            )
     vals = P.valuations()
     for j in expected.get("valuations_present", ()):
         rep.check(

@@ -17,7 +17,6 @@ from ccalab.complexes import (
 )
 from ccalab.families import (
     ArtinianQuotient,
-    FFamilySpec,
     fiber_product_report,
     socle_and_type,
 )
@@ -51,12 +50,18 @@ def report(name, ok):
     assert ok
 
 
+def indexed(n, index_sets):
+    """The intersection family on x1..xn with 1-based index subsets."""
+    return PullbackFamily.from_supports(
+        make_context(n), [[f"x{i}" for i in s] for s in index_sets]
+    )
+
+
 def test_criterion_1_overlap_family_depth_one():
     start = time.perf_counter()
-    spec = FFamilySpec.from_indices(6, [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 1, 2]])
-    fam = spec.family()
-    defining = spec.defining_ideal()
-    ctx = spec.context
+    fam = indexed(6, [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 1, 2]])
+    defining = fam.defining_ideal()
+    ctx = fam.context
     cond = conductor(fam)
     maxideal = MonomialIdeal.from_support(ctx, ctx.names)
     checks = [
@@ -80,18 +85,13 @@ def test_criterion_1_overlap_family_depth_one():
 
 def test_criterion_2_grid_family_depth_two():
     start = time.perf_counter()
-    spec = FFamilySpec(
+    fam = PullbackFamily.from_supports(
         VarContext(("X1", "X2", "Y1", "Y2", "Z1", "Z2")),
-        (
-            frozenset({"X1", "X2"}),
-            frozenset({"Y1", "Y2"}),
-            frozenset({"Z1", "Z2"}),
-        ),
+        [["X1", "X2"], ["Y1", "Y2"], ["Z1", "Z2"]],
     )
-    defining = spec.defining_ideal()
-    fam = spec.family()
+    defining = fam.defining_ideal()
     cond = conductor(fam)
-    primes = spec.primes()
+    primes = [p.ideal() for p in fam.primes]
     quotient_depths = [depth(cond + p, QQ) for p in primes]
     checks = [
         dim_of_quotient(defining) == 4,
@@ -106,9 +106,8 @@ def test_criterion_2_grid_family_depth_two():
 
 def test_criterion_3_chain_family_depth_three():
     start = time.perf_counter()
-    spec = FFamilySpec.from_indices(8, [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 7, 8]])
-    defining = spec.defining_ideal()
-    fam = spec.family()
+    fam = indexed(8, [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 7, 8]])
+    defining = fam.defining_ideal()
     cond = conductor(fam)
     checks = [
         depth(defining, QQ) == 3,

@@ -57,6 +57,17 @@ def test_verify_tampered_expected_exits_one(monkeypatch):
     assert "FAIL" in res.output
 
 
+def test_verify_claim_outside_the_window_exits_two(monkeypatch):
+    data = copy.deepcopy(registry.load_registry())
+    for entry in data["families"]:
+        if entry["id"] == "subalg-split-q":
+            entry["expected"]["valuations_absent"] = [3, 30]  # the window is [0, 30)
+    monkeypatch.setattr(registry, "load_registry", lambda: data)
+    res = run("verify", "subalg-split-q")
+    assert res.exit_code == 2
+    assert "window" in res.output
+
+
 def test_verify_json_output_is_deterministic():
     a = run("verify", "kq-d2", "--format", "json")
     b = run("verify", "kq-d2", "--format", "json")

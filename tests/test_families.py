@@ -2,7 +2,6 @@ import pytest
 
 from ccalab.families import (
     ArtinianQuotient,
-    FFamilySpec,
     f_family_report,
     fiber_product_report,
     k_plus_q_report,
@@ -10,6 +9,7 @@ from ccalab.families import (
 )
 from ccalab.linalg import QQ
 from ccalab.monomial import MonomialIdeal, VarContext, intersect_all, make_context, sum_all
+from ccalab.pullback import PullbackFamily
 from ccalab.suites import lemma_intersection_suite
 
 
@@ -18,32 +18,56 @@ def artinian(n, *gens, prefix="X"):
     return ArtinianQuotient(ctx, MonomialIdeal.from_strings(ctx, gens))
 
 
-# -- specs ---------------------------------------------------------------------
+def indexed(n, index_sets):
+    """The intersection family on x1..xn with 1-based index subsets."""
+    return PullbackFamily.from_supports(
+        make_context(n), [[f"x{i}" for i in s] for s in index_sets]
+    )
 
 
-def test_spec_validation():
+OVERLAP = [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 1, 2]]
+
+
+# -- families -------------------------------------------------------------------
+
+
+def test_family_validation():
     with pytest.raises(ValueError):
-        FFamilySpec.from_indices(4, [[1, 2], [1]])  # not an antichain
+        indexed(4, [[1, 2], [1]])  # not an antichain
     with pytest.raises(ValueError):
-        FFamilySpec.from_indices(4, [[1, 2]])  # needs two subsets
-    spec = FFamilySpec.from_indices(4, [[1, 2], [3, 4]])
-    assert spec.is_unmixed()
-    assert spec.min_setminus() == 2
+        indexed(4, [[1, 2], []])  # empty subset
+    with pytest.raises(ValueError):
+        indexed(4, [[1, 5], [3, 4]])  # x5 is not a variable
+    with pytest.raises(ValueError):
+        f_family_report(indexed(4, [[1, 2]]))  # needs two components
+    with pytest.raises(ValueError):
+        f_family_report(PullbackFamily.congruence(artinian(2, "X1^2", "X2").ideal))
+    fam = indexed(4, [[1, 2], [3, 4]])
+    for ell in (0, -2):  # m^0 is A itself, and m has no negative powers
+        with pytest.raises(ValueError):
+            f_family_report(fam, trace_powers=(1, ell))
+    assert fam.is_unmixed()
+    assert not indexed(3, [[1], [2, 3]]).is_unmixed()
+    by_id = {c.claim_id: c for c in f_family_report(fam).claims}
+    assert by_id["height.setminus-formula"].computed == 2  # min |F_i - F_j|
+    assert by_id["dim.formula"].computed == 2  # n - min |F_i|
 
 
 def test_defining_ideal_has_the_components_as_minimal_primes():
     # the intersection of the component primes is a reduced decomposition
-    spec = FFamilySpec.from_indices(6, [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 1, 2]])
-    defining = spec.defining_ideal()
+    fam = indexed(6, OVERLAP)
+    defining = fam.defining_ideal()
     got = {frozenset(p.variable_names()) for p in defining.minimal_primes()}
-    assert got == {frozenset(s) for s in spec.subsets}
+    assert got == {frozenset(f"x{i}" for i in s) for s in OVERLAP}
     assert defining.associated_primes() == defining.minimal_primes()
 
 
 def test_duplicate_subsets_rejected():
-    dup = frozenset({"x1", "x2"})
+    dup = ["x1", "x2"]
     with pytest.raises(ValueError):
-        FFamilySpec(make_context(4), (dup, dup))
+        PullbackFamily.from_supports(make_context(4), [dup, dup])
+    with pytest.raises(ValueError):
+        PullbackFamily.from_supports(make_context(4), [dup, ["x2", "x1"]])
 
 
 def test_unmixed_families_satisfy_the_depth_bounds():
@@ -66,9 +90,9 @@ def test_unmixed_families_satisfy_the_depth_bounds():
             continue
         if any(len(a - b) < 2 for a in subsets for b in subsets if a != b):
             continue
-        spec = FFamilySpec.from_indices(n, [sorted(s) for s in subsets])
-        defining = spec.defining_ideal()
-        cond = conductor(spec.family())
+        fam = indexed(n, [sorted(s) for s in subsets])
+        defining = fam.defining_ideal()
+        cond = conductor(fam)
         d = dim_of_quotient(defining)
         t = depth(defining, QQ)
         assert quotient_height(cond, defining) >= 2
@@ -106,8 +130,7 @@ def test_artinian_rejects_positive_dimension():
 
 
 def test_f_family_report_fails_on_tampered_expected():
-    spec = FFamilySpec.from_indices(6, [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 1, 2]])
-    rep = f_family_report(spec, QQ, expected={"depth_A": 2})  # the truth is 1
+    rep = f_family_report(indexed(6, OVERLAP), QQ, expected={"depth_A": 2})  # the truth is 1
     assert not rep.passed()
     assert any(c.claim_id == "depth.A" for c in rep.failures())
 

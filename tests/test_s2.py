@@ -162,6 +162,14 @@ def test_trace_pipeline_rejects_low_height():
         trace_ideal_check(fam5, MonomialIdeal.from_strings(ctx5, ["x1*x5"]))
 
 
+def test_trace_certificate_needs_unmixed_components():
+    # F = {x1}, {x2,x3}: the conductor is m, of height 2 in A, but the
+    # components have heights 1 and 2
+    fam = PullbackFamily.from_supports(make_context(3), [["x1"], ["x2", "x3"]])
+    assert not fam.is_unmixed()
+    assert trace_ideal_check(fam, conductor(fam)) == (False, "components not unmixed")
+
+
 def test_bounded_trace_check_sweeps_no_degrees(monkeypatch):
     solves = []
     degrees = []

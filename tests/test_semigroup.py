@@ -173,6 +173,27 @@ def test_subalgebra_report_passes():
     assert rep.passed()
 
 
+def test_subalgebra_claims_outside_the_window_raise():
+    # precision 20 and margin 5 certify [0, 15): 16 lies in <2,3>, and
+    # t^25 lies past the truncation, so neither claim could be earned
+    for expected in (
+        {"valuations_absent": [16]},
+        {"valuations_absent": [30]},
+        {"t_powers_present": [25]},
+        {"t_powers_absent": [15]},
+        {"valuations_present": [-1]},
+    ):
+        with pytest.raises(PrecisionError):
+            subalgebra_report(["t^2", "t^3"], QQ, precision=20, margin=5, expected=expected)
+    inside = {
+        "valuations_present": [14],
+        "valuations_absent": [1],
+        "t_powers_present": [14],
+        "t_powers_absent": [1],
+    }
+    assert subalgebra_report(["t^2", "t^3"], QQ, precision=20, margin=5, expected=inside).passed()
+
+
 # -- quadratic extensions ---------------------------------------------------------
 
 
