@@ -29,7 +29,6 @@ from .monomial import (
     quotient_height,
 )
 from .pullback import (
-    BElement,
     GradedSubmodule,
     PullbackFamily,
     cokernel_profile,

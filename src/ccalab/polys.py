@@ -32,21 +32,6 @@ def p_linear(n, indices, coeffs=None):
     return out
 
 
-def p_sub(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, Fraction(0)) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def p_is_zero(a):
-    return not a
-
-
 def p_degree(a):
     """Common total degree if homogeneous, else None; zero gives None."""
     degs = {sum(m) for m in a}
@@ -56,19 +41,3 @@ def p_degree(a):
 def p_in_ideal(a, ideal):
     """Every monomial of a lies in the (monomial) ideal."""
     return all(ideal.contains(Monomial(m)) for m in a)
-
-
-def p_format(a, ctx):
-    if not a:
-        return "0"
-    parts = []
-    for m in sorted(a):
-        c = a[m]
-        mono = Monomial(m).format(ctx)
-        if c == 1:
-            parts.append(mono)
-        elif mono == "1":
-            parts.append(str(c))
-        else:
-            parts.append(f"{c}*{mono}")
-    return " + ".join(parts)

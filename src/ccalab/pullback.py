@@ -20,7 +20,6 @@ are independent of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .errors import (
@@ -39,14 +38,7 @@ from .monomial import (
     monomials_of_degree,
     sum_all,
 )
-from .polys import (
-    p_degree,
-    p_in_ideal,
-    p_is_zero,
-    p_linear,
-    p_of_monomial,
-    p_sub,
-)
+from .polys import p_degree, p_in_ideal, p_linear, p_of_monomial
 
 INTERSECTION = "intersection"
 CONGRUENCE = "congruence"
@@ -192,88 +184,9 @@ class PullbackFamily:
         return f"PullbackFamily({supp})"
 
 
-class BElement:
-    """An element of B: one polynomial per component, already reduced.
-
-    The lift route: in_A decides membership element by element and returns
-    the lift to T that lift_failures checks; the graded solves use pieces.
-    """
-
-    __slots__ = ("family", "parts")
-
-    def __init__(self, family, parts):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(
-            self,
-            "parts",
-            tuple(family.reduce_poly(i, p) for i, p in enumerate(parts)),
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("BElement is immutable")
-
-    @classmethod
-    def from_T(cls, family, poly):
-        """Image of a T-polynomial along the diagonal map."""
-        return cls(family, tuple(poly for _ in range(family.ell)))
-
-    @classmethod
-    def unit(cls, family, i, m):
-        """The basis element of B: monomial m in component i."""
-        return cls(
-            family,
-            tuple({m: Fraction(1)} if j == i else {} for j in range(family.ell)),
-        )
-
-    def component(self, i):
-        """Multiplication by the idempotent e_i: zero out the other parts."""
-        return BElement(
-            self.family,
-            tuple(p if j == i else {} for j, p in enumerate(self.parts)),
-        )
-
-    def is_zero(self):
-        return all(p_is_zero(p) for p in self.parts)
-
-    def degree(self):
-        """Common degree if homogeneous (None for 0 or inhomogeneous)."""
-        degs = {p_degree(p) for p in self.parts if not p_is_zero(p)}
-        return degs.pop() if len(degs) == 1 else None
-
-    def vector(self, d):
-        """Sparse coordinates over basis_B(d); raises if support leaves it."""
-        index = self.family.basis_index(d)
-        return {
-            index[(i, m)]: c for i, part in enumerate(self.parts) for m, c in part.items()
-        }
-
-    def in_A(self):
-        """Membership in A, with a lift to T as witness in intersection mode.
-
-        Intersection mode: true iff for every monomial all components in
-        which it survives carry equal coefficients; the witness collects
-        those common coefficients.  Congruence mode: true iff the
-        difference of the two coordinates lies in q (witness None).
-        """
-        fam = self.family
-        if fam.mode == CONGRUENCE:
-            return (p_in_ideal(p_sub(self.parts[0], self.parts[1]), fam.q), None)
-        candidate = {}
-        for part in self.parts:
-            for m, c in part.items():
-                if candidate.setdefault(m, c) != c:
-                    return (False, None)
-        for m, c in candidate.items():
-            for j in fam.surviving(m):
-                if self.parts[j].get(m, Fraction(0)) != c:
-                    return (False, None)
-        return (True, candidate)
-
-    def __repr__(self):
-        from .polys import p_format
-
-        inner = ", ".join(p_format(p, self.family.context) for p in self.parts)
-        return f"({inner})"
+def _diagonal(fam, poly):
+    """Image of a T-polynomial along the diagonal map: one reduced part per component."""
+    return tuple(fam.reduce_poly(i, poly) for i in range(fam.ell))
 
 
 def mult_matrix(fam, poly, d, e):
@@ -283,7 +196,7 @@ def mult_matrix(fam, poly, d, e):
     over the basis_B(d+e) indices.
     """
     target_index = fam.basis_index(d + e)
-    parts = [fam.reduce_poly(i, poly) for i in range(fam.ell)]
+    parts = _diagonal(fam, poly)
     return [
         {
             target_index[(i, tuple(x + y for x, y in zip(mm, m)))]: c
@@ -352,13 +265,6 @@ def conductor(fam):
     return formula
 
 
-def monomial_components(fam, monomials):
-    """The nonzero x^g e_i over the monomials g: a monomial ideal in B."""
-    return [
-        BElement.unit(fam, i, g.exps) for g in monomials for i in fam.surviving(g.exps)
-    ]
-
-
 def monomial_span(fam, ideal, d):
     """Degree-d piece of the B-ideal generated by a monomial ideal of T.
 
@@ -374,16 +280,21 @@ def monomial_span(fam, ideal, d):
 def lift_failures(fam, a, ideal):
     """The components j where a e_j is not in A, or lifts to T outside the ideal.
 
-    a is a T-polynomial.  Congruence membership has no lift: there a e_j
-    in A already puts a in q, which is the conductor.
+    a is a T-polynomial.  In intersection mode a e_j has one nonzero part,
+    reduce_poly(j, a).  A term of it that survives in another component
+    would need the same coefficient there, so a e_j lies in A iff every
+    term survives in component j alone, and that part is then its lift to T.
+    In congruence mode a e_j lies in A iff a lies in q, which is the
+    conductor; there is no lift.
     """
-    belt = BElement.from_T(fam, a)
+    if fam.mode == CONGRUENCE:
+        return [] if p_in_ideal(a, fam.q) else [(j, "not in A") for j in range(fam.ell)]
     out = []
     for j in range(fam.ell):
-        inside, witness = belt.component(j).in_A()
-        if not inside:
+        part = fam.reduce_poly(j, a)
+        if any(fam.surviving(m) != [j] for m in part):
             out.append((j, "not in A"))
-        elif witness is not None and not p_in_ideal(witness, ideal):
+        elif not p_in_ideal(part, ideal):
             out.append((j, "witness escapes the ideal"))
     return out
 
@@ -462,17 +373,24 @@ def cokernel_profile(fam):
 
 
 class GradedSubmodule:
-    """An A-submodule of B given by homogeneous generators."""
+    """An A-submodule of B given by homogeneous generators.
+
+    A generator is given by its parts, one reduced polynomial per component,
+    and kept as a (degree, parts) pair.
+    """
 
     __slots__ = ("family", "gens", "_pieces")
 
     def __init__(self, family, gens):
         object.__setattr__(self, "family", family)
-        gens = tuple(g for g in gens if not g.is_zero())
-        for g in gens:
-            if g.degree() is None:
+        kept = []
+        for parts in gens:
+            degrees = {sum(m) for part in parts for m in part}
+            if len(degrees) > 1:
                 raise ValueError("generators must be homogeneous")
-        object.__setattr__(self, "gens", gens)
+            if degrees:
+                kept.append((degrees.pop(), parts))
+        object.__setattr__(self, "gens", tuple(kept))
         object.__setattr__(self, "_pieces", {})
 
     def __setattr__(self, *a):
@@ -481,16 +399,14 @@ class GradedSubmodule:
     @classmethod
     def from_ideal(cls, fam, ideal):
         """The submodule (ideal + defining)/defining of A inside B."""
-        return cls(
-            fam, [BElement.from_T(fam, p_of_monomial(g)) for g in ideal.gens]
-        )
+        return cls(fam, [_diagonal(fam, p_of_monomial(g)) for g in ideal.gens])
 
     @classmethod
     def unit_A(cls, fam):
         """A itself, generated by 1: one per family, kept in the family's cache."""
         got = fam._basis_cache.get("unit_A")
         if got is None:
-            one = BElement.from_T(fam, p_of_monomial(Monomial.one(fam.context.n)))
+            one = _diagonal(fam, p_of_monomial(Monomial.one(fam.context.n)))
             got = fam._basis_cache["unit_A"] = cls(fam, [one])
         return got
 
@@ -499,7 +415,11 @@ class GradedSubmodule:
         """sum a B over the T-polynomials a, generated over A by the a e_i."""
         return cls(
             fam,
-            [BElement.from_T(fam, a).component(i) for a in polys for i in range(fam.ell)],
+            [
+                tuple(part if k == i else {} for k in range(fam.ell))
+                for a in polys
+                for i, part in enumerate(_diagonal(fam, a))
+            ],
         )
 
     def piece(self, d):
@@ -511,14 +431,14 @@ class GradedSubmodule:
         space = Subspace(QQ, len(index))
         seen = set()
         by_degree = {}
-        for g in self.gens:
-            by_degree.setdefault(g.degree(), []).append(g)
+        for e, parts in self.gens:
+            by_degree.setdefault(e, []).append(parts)
         # one A-piece alive at a time, fetched once per generator degree
         for e in sorted(by_degree):
             if e > d:
                 break
             basis = fam.basis_A(d - e)
-            for g in by_degree[e]:
+            for parts in by_degree[e]:
                 for m, comps in basis:
                     # a is the sum of x^m e_i over comps, so a g is x^m times
                     # g's parts there; x^m and every term of part i survive in
@@ -526,7 +446,7 @@ class GradedSubmodule:
                     v = {
                         index[(i, tuple(map(add, m, mm)))]: c
                         for i in comps
-                        for mm, c in g.parts[i].items()
+                        for mm, c in parts[i].items()
                     }
                     key = frozenset(v.items())
                     if v and key not in seen:
@@ -536,12 +456,15 @@ class GradedSubmodule:
         return space
 
     def missing(self, ideal):
-        """The x^g e_i, over the generators g of the ideal, outside this submodule."""
-        return [
-            t
-            for t in monomial_components(self.family, ideal.gens)
-            if not self.piece(t.degree()).contains(t.vector(t.degree()))
-        ]
+        """The (i, g) with x^g e_i nonzero and outside, over the generators g of the ideal."""
+        fam = self.family
+        out = []
+        for g in ideal.gens:
+            d = g.degree()
+            for i in fam.surviving(g.exps):
+                if not self.piece(d).contains({fam.basis_index(d)[(i, g.exps)]: 1}):
+                    out.append((i, g))
+        return out
 
 
 @dataclass(frozen=True)
@@ -597,7 +520,9 @@ def verify_generation(fam, cond, elements):
     for idx, a in enumerate(elements):
         details["forward"].extend((idx, j, why) for j, why in lift_failures(fam, a, cond))
     generated = GradedSubmodule.multiples(fam, elements)
-    details["reverse"].extend((repr(t), "not generated") for t in generated.missing(cond))
+    details["reverse"].extend(
+        (f"{g.format(fam.context)} e_{i}", "not generated") for i, g in generated.missing(cond)
+    )
     return not (details["forward"] or details["reverse"]), details
 
 

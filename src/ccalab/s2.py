@@ -121,7 +121,7 @@ def trace_ideal_check(fam, ideal):
 
     The endo-ring comparison then asks whether I:I contains B, by a
     linear-algebra witness independent of the B-stability check (which
-    lifts products to T): every e_i g, over the idempotents e_i and the
+    lifts each g e_j to T): every e_i g, over the idempotents e_i and the
     generators g of I, must lie in the degree-deg(g) piece of IA.  Each
     x^m e_i is the diagonal x^m of A times e_i, so B = sum A e_i, and I:I,
     an A-module, contains B iff it contains every e_i.  The e_i have

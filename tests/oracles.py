@@ -5,6 +5,9 @@ sweeps over all monomials up to a degree bound, subset enumeration for
 complexes, a Betti sweep that computes every subset's restriction afresh,
 exhaustive prime enumeration for minimal primes, a dense
 echelon (the engine's original one) as the reference for the sparse one,
+the engine's original element algebra of B (`BElement`, with its
+coefficient-matching membership test) and its lift route
+(`lift_failures_by_belement`) as the reference for the support test,
 the engine's original per-mode constructions of the pullback layer, its
 original element-by-element membership tests for the conductor and its
 annihilation of B/A, its original two-colon endomorphism-ring
@@ -18,14 +21,8 @@ from itertools import combinations
 from ccalab.complexes import BettiTable, complex_of, reduced_homology
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
-from ccalab.polys import p_degree
-from ccalab.pullback import (
-    CONGRUENCE,
-    BElement,
-    GradedSubmodule,
-    colon_in_B,
-    stable_subspace,
-)
+from ccalab.polys import p_degree, p_in_ideal
+from ccalab.pullback import CONGRUENCE, GradedSubmodule, colon_in_B, stable_subspace
 from ccalab.s2 import trace_ideal_check
 
 
@@ -237,6 +234,88 @@ def dense_nullspace(rows, ncols, field):
     return DenseSubspace(field, ncols, basis)
 
 
+# -- the element algebra of B and its lift route -----------------------------
+
+
+class BElement:
+    """An element of B: one polynomial per component, reduced in that component."""
+
+    __slots__ = ("family", "parts")
+
+    def __init__(self, family, parts):
+        self.family = family
+        self.parts = tuple(family.reduce_poly(i, p) for i, p in enumerate(parts))
+
+    @classmethod
+    def from_T(cls, family, poly):
+        """Image of a T-polynomial along the diagonal map."""
+        return cls(family, tuple(poly for _ in range(family.ell)))
+
+    @classmethod
+    def unit(cls, family, i, m):
+        """The basis element of B: monomial m in component i."""
+        return cls(
+            family,
+            tuple({m: Fraction(1)} if j == i else {} for j in range(family.ell)),
+        )
+
+    def component(self, i):
+        """Multiplication by the idempotent e_i: zero out the other parts."""
+        return BElement(
+            self.family,
+            tuple(p if j == i else {} for j, p in enumerate(self.parts)),
+        )
+
+    def is_zero(self):
+        return not any(self.parts)
+
+    def vector(self, d):
+        """Sparse coordinates over basis_B(d); raises if support leaves it."""
+        index = self.family.basis_index(d)
+        return {
+            index[(i, m)]: c for i, part in enumerate(self.parts) for m, c in part.items()
+        }
+
+    def in_A(self):
+        """Membership in A, with a lift to T as witness in intersection mode.
+
+        Intersection mode: true iff for every monomial all components in
+        which it survives carry equal coefficients; the witness collects
+        those common coefficients.  Congruence mode: true iff the
+        difference of the two coordinates lies in q (witness None).
+        """
+        fam = self.family
+        if fam.mode == CONGRUENCE:
+            first, second = self.parts
+            diff = dict(first)
+            for m, c in second.items():
+                diff[m] = diff.get(m, Fraction(0)) - c
+            return (p_in_ideal({m: c for m, c in diff.items() if c}, fam.q), None)
+        candidate = {}
+        for part in self.parts:
+            for m, c in part.items():
+                if candidate.setdefault(m, c) != c:
+                    return (False, None)
+        for m, c in candidate.items():
+            for j in fam.surviving(m):
+                if self.parts[j].get(m, Fraction(0)) != c:
+                    return (False, None)
+        return (True, candidate)
+
+
+def lift_failures_by_belement(fam, a, ideal):
+    """The engine's original lift route: a e_j through BElement.in_A and its witness."""
+    belt = BElement.from_T(fam, a)
+    out = []
+    for j in range(fam.ell):
+        inside, witness = belt.component(j).in_A()
+        if not inside:
+            out.append((j, "not in A"))
+        elif witness is not None and not p_in_ideal(witness, ideal):
+            out.append((j, "witness escapes the ideal"))
+    return out
+
+
 # -- per-mode reference constructions for the pullback layer ---------------
 
 
@@ -281,9 +360,9 @@ def piece_by_belement_products(sub, d):
     """
     fam = sub.family
     space = Subspace(QQ, fam.dim_B(d))
-    for g in sub.gens:
-        e = g.degree()
+    for e, parts in sub.gens:
         if e <= d:
+            g = BElement(fam, parts)
             for a in basis_A_by_defining_ideal(fam, d - e):
                 space.insert(_product(a, g).vector(d))
     return space

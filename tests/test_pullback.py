@@ -11,13 +11,13 @@ from ccalab import pullback
 from ccalab.pullback import (
     CONGRUENCE,
     INTERSECTION,
-    BElement,
     GradedSubmodule,
     PullbackFamily,
     cokernel_profile,
     colon_in_B,
     conductor,
     conductor_is_irrelevant_primary,
+    lift_failures,
     monomial_span,
     regular_sequence_on_B,
     stable_subspace,
@@ -26,6 +26,7 @@ from ccalab.pullback import (
 from ccalab.suites import random_antichain, random_monomial_ideal
 
 import oracles
+from oracles import BElement
 
 CTX4 = VarContext(("X", "Y", "Z", "W"))
 
@@ -247,7 +248,12 @@ def test_generation_overlap(overlap6):
     assert ok
     ok_single, detail = verify_generation(overlap6, cond, [a])
     assert not ok_single
-    assert detail["reverse"]
+    assert detail["forward"] == []
+    assert detail["reverse"] == [
+        ("x6 e_0", "not generated"),
+        ("x4 e_2", "not generated"),
+        ("x2 e_1", "not generated"),
+    ]
 
 
 def test_generation_rejects_inhomogeneous(overlap6):
@@ -255,6 +261,17 @@ def test_generation_rejects_inhomogeneous(overlap6):
     bad = {(1, 0, 0, 0, 0, 0): Fraction(1), (2, 0, 0, 0, 0, 0): Fraction(1)}
     with pytest.raises(ValueError):
         verify_generation(overlap6, cond, [bad])
+
+
+def test_multiples_need_homogeneous_components(overlap6):
+    x1, x6_sq = p_mono((1, 0, 0, 0, 0, 0)), p_mono((0, 0, 0, 0, 0, 2))
+    # x1 survives in component 1 only, so x1 + x1^2 is inhomogeneous there
+    with pytest.raises(ValueError):
+        GradedSubmodule.multiples(overlap6, [{**x1, (2, 0, 0, 0, 0, 0): Fraction(1)}])
+    # x1 + x6^2 is x6^2 in component 0, x1 in component 1 and 0 in component 2:
+    # each a e_i is homogeneous, and the vanishing a e_2 is dropped
+    sub = GradedSubmodule.multiples(overlap6, [{**x1, **x6_sq}])
+    assert sub.gens == ((2, (x6_sq, {}, {})), (1, ({}, x1, {})))
 
 
 def test_generation_fiber_alphas(fiber_x1sq):
@@ -309,6 +326,57 @@ def test_regular_sequence_rank_test_matches_degree_sweep():
     assert min(outcomes.values()) >= 10
     assert sum(v for (_, got), v in outcomes.items() if got) >= 20
     assert sum(v for (_, got), v in outcomes.items() if not got) >= 20
+
+
+def test_lift_route_and_missing_match_the_element_algebra():
+    rng = random.Random(0)
+    outcomes = dict.fromkeys(
+        [
+            (INTERSECTION, None),
+            (INTERSECTION, "not in A"),
+            (INTERSECTION, "witness escapes the ideal"),
+            (CONGRUENCE, None),
+            (CONGRUENCE, "not in A"),
+        ],
+        0,
+    )
+    generated = []
+    for fam in _random_families(rng) * 3:
+        n = fam.context.n
+        cond = conductor(fam)
+        ideal = random_monomial_ideal(rng, fam.context, max_gens=3, max_deg=2)
+        target = rng.choice((cond, ideal, ideal.intersect(cond)))
+        monomials = [p_of_monomial(g) for g in cond.gens + ideal.gens]
+        forms = []
+        for _ in range(2):
+            support = rng.sample(range(n), rng.randint(1, n))
+            forms.append(p_linear(n, support, [rng.choice((1, -1, 2)) for _ in support]))
+        for a in rng.sample(monomials, min(3, len(monomials))) + forms:
+            got = lift_failures(fam, a, target)
+            assert got == oracles.lift_failures_by_belement(fam, a, target), (fam, a)
+            why = dict(got)
+            for j in range(fam.ell):
+                outcomes[fam.mode, why.get(j)] += 1
+        sub = rng.choice(
+            (
+                GradedSubmodule.from_ideal(fam, ideal),
+                GradedSubmodule.unit_A(fam),
+                GradedSubmodule.multiples(fam, forms),
+            )
+        )
+        units = [
+            (i, g, BElement.unit(fam, i, g.exps)) for g in target.gens for i in range(fam.ell)
+        ]
+        expected = [
+            (i, g)
+            for i, g, u in units
+            if not u.is_zero() and not sub.piece(g.degree()).contains(u.vector(g.degree()))
+        ]
+        assert sub.missing(target) == expected
+        generated.append(not expected)
+    # every outcome occurs, so neither route can pass by answering one way
+    assert min(outcomes.values()) >= 10, outcomes
+    assert generated.count(True) >= 10 and generated.count(False) >= 10
 
 
 def test_conductor_annihilates_cokernel(overlap6):

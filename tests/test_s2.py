@@ -13,7 +13,7 @@ from ccalab.monomial import (
     parse_monomial,
 )
 from ccalab.polys import p_linear, p_of_monomial
-from ccalab.pullback import BElement, GradedSubmodule, PullbackFamily, colon_in_B, conductor
+from ccalab.pullback import GradedSubmodule, PullbackFamily, colon_in_B, conductor
 from ccalab.s2 import (
     QuotientRing,
     s2_equals_B_test,
@@ -25,6 +25,7 @@ from ccalab.s2 import (
 from ccalab.suites import random_antichain, random_monomial_ideal
 
 import oracles
+from oracles import BElement
 
 CTX5 = VarContext(("x", "y", "z", "w", "u"))
 

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ccalab"
 BENCH = ROOT / "bench"
 
-# s2_equals_B_test waits to back the `s2.hull-is-B` entry (ROADMAP item 6).
+# s2_equals_B_test waits to back the `s2.hull-is-B` entry (ROADMAP item 8).
 ALLOWED_UNREACHED = {"s2_equals_B_test"}
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
