@@ -2,8 +2,13 @@
 
 Index conventions, fixed once and used by every caller and test:
 
-* reduced_homology returns {i: rank of H~_i} for i = -1 .. dim, computed
-  from the augmented chain complex (the empty face generates degree -1).
+* reduced_homology returns {i: rank of H~_i} for i = -1 .. dim, as ranks
+  of the augmented chain complex (the empty face generates degree -1).  It
+  takes one of three exact routes: a complex whose facets share a vertex
+  is a cone, so acyclic, and needs no matrix; a complex with few facets
+  against its faces (2^k < sum_f 2^|f| for k facets) has the homology of
+  the nerve of its facets (nerve theorem), whose boundary matrices are
+  ranked instead; any other complex has its own boundary matrices ranked.
 * BettiTable entries are the graded Betti numbers of the *ideal*:
   beta[i, sigma] = dim_k H~_{|sigma| - i - 2}(restriction to sigma), with
   i >= 0.  The resolution of the quotient T/I has the extra beta_{0,()} = 1
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from .errors import NotSquarefreeError, UnitIdealError, VoidComplexError
 from .linalg import rank
-from .monomial import Monomial, MonomialIdeal, VarContext
+from .monomial import Monomial, MonomialIdeal, VarContext, make_context
 
 MAX_VERTICES = 16
 
@@ -191,9 +196,46 @@ def boundary_matrix(lower, upper):
 
 
 def reduced_homology(cplx, field):
-    """Ranks {i: dim H~_i} for i = -1 .. dim, over the given field."""
+    """Ranks {i: dim H~_i} for i = -1 .. dim, over the given field.
+
+    Three routes, each exact over every field:
+
+    * cone: if all facets share a vertex v, the complex is a cone with
+      apex v, which is contractible, so every rank is 0;
+    * nerve: with k facets, when 2^k < sum_f 2^|f|, the homology is that of
+      the nerve of the facets (the complex on the facet indices whose
+      faces are the index sets with a common vertex).  Every intersection
+      of facets is a simplex or empty, so by the nerve theorem (Bjorner,
+      Topological methods, 10.6) the two are homotopy equivalent.  Ranks
+      above dim of the complex vanish on both sides, so the nerve's ranks
+      are cut or padded with zeros to -1 .. dim;
+    * otherwise the ranks of the boundary matrices of the complex itself.
+    """
     if cplx.is_void():
         raise VoidComplexError("homology of the void complex")
+    facets = cplx.facets
+    top = cplx.dim()
+    common = facets[0]
+    for f in facets:
+        common &= f
+    if common:
+        return dict.fromkeys(range(-1, top + 1), 0)
+    k = len(facets)
+    if k <= MAX_VERTICES and (1 << k) < sum(1 << f.bit_count() for f in facets):
+        # a vertex in no facet gives the empty mask, which the antichain drops
+        nerve = SimplicialComplex(
+            make_context(k),
+            [
+                sum(1 << j for j, f in enumerate(facets) if f >> v & 1)
+                for v in range(cplx.context.n)
+            ],
+        )
+        hom = _homology_by_boundary_matrices(nerve, field)
+        return {i: hom.get(i, 0) for i in range(-1, top + 1)}
+    return _homology_by_boundary_matrices(cplx, field)
+
+
+def _homology_by_boundary_matrices(cplx, field):
     layers = cplx.faces_by_dim()  # layers[k] = faces of cardinality k
     top = len(layers) - 1
     # Boundary maps are indexed by face cardinality, not by dimension:

@@ -13,14 +13,12 @@ informational entries, never as verified claims.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .complexes import depth, depth_via_local_cohomology, dim_of_quotient
 from .linalg import QQ
 from .monomial import (
     Monomial,
     MonomialIdeal,
-    VarContext,
     intersect_all,
     quotient_height,
 )
@@ -241,7 +239,7 @@ def f_family_report(
 
     if parameters:
         forms = [p_linear(ctx.n, [ctx.index(nm) for nm in names]) for names in parameters]
-        ok, _detail = verify_generation(fam, cond, forms)
+        ok = verify_generation(fam, cond, forms)
         rep.check(
             "generation.parameters",
             "conductor = sum a_i B",
@@ -281,22 +279,22 @@ def _product_form_ideal(ctx, form):
     return total
 
 
-@dataclass(frozen=True)
 class ArtinianQuotient:
     """S/q for a monomial ideal q with dim S/q = 0."""
 
-    context: VarContext
-    ideal: MonomialIdeal
+    __slots__ = ("context", "ideal")
 
-    def __post_init__(self):
-        if self.ideal.context != self.context:
+    def __init__(self, context, ideal):
+        if ideal.context != context:
             raise ValueError("ideal in wrong context")
-        if self.ideal.is_unit() or self.ideal.is_zero():
+        if ideal.is_unit() or ideal.is_zero():
             raise ValueError("need a proper nonzero ideal")
-        primes = self.ideal.minimal_primes()
-        full = (1 << self.context.n) - 1
+        primes = ideal.minimal_primes()
+        full = (1 << context.n) - 1
         if len(primes) != 1 or primes[0].mask != full:
             raise ValueError("quotient is not Artinian")
+        self.context = context
+        self.ideal = ideal
 
     def exponent_caps(self):
         caps = []
@@ -468,7 +466,7 @@ def fiber_product_report(q, expected=None, parameters=None):
     )
     if parameters:
         forms = [p_mono(tuple(e)) for e in parameters]
-        ok, _detail = verify_generation(fam, cond, forms)
+        ok = verify_generation(fam, cond, forms)
         rep.check(
             "generation.alphas",
             "qB = sum alpha_i B for alpha_i = (a_i, a_i)",

@@ -9,7 +9,6 @@ equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -24,15 +23,27 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: the rationals (p == 0) or the prime field F_p."""
 
-    p: int = 0
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p=0):
+        if p and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, FieldSpec) and self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
+
+    def __repr__(self):
+        return f"FieldSpec(p={self.p})"
 
     @property
     def is_rationals(self):

@@ -17,25 +17,35 @@ divisibility); there are no term orders or division algorithms here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ContextMismatchError, UnitIdealError, ZeroIdealError
 
 
-@dataclass(frozen=True)
 class VarContext:
     """An ordered tuple of distinct variable names."""
 
-    names: tuple
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names):
+        names = tuple(names)
         if len(names) < 1:
             raise ValueError("need at least one variable")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, *a):
+        raise AttributeError("VarContext is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, VarContext) and self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self):
+        return f"VarContext(names={self.names!r})"
 
     @property
     def n(self):
@@ -485,12 +495,27 @@ class MonomialIdeal:
         added = big.n - self.context.n
         return MonomialIdeal(big, new_gens), added
 
-@dataclass(frozen=True)
 class MonomialPrime:
     """A monomial prime, generated exactly by its support variables."""
 
-    context: VarContext
-    mask: int
+    __slots__ = ("context", "mask")
+
+    def __init__(self, context, mask):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, *a):
+        raise AttributeError("MonomialPrime is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MonomialPrime)
+            and self.context == other.context
+            and self.mask == other.mask
+        )
+
+    def __hash__(self):
+        return hash((self.context, self.mask))
 
     def ideal(self):
         n = self.context.n

@@ -19,7 +19,6 @@ are independent of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .errors import (
@@ -312,14 +311,16 @@ def conductor_is_irrelevant_primary(fam):
     return len(primes) == 1 and primes[0].mask == fam.full_mask()
 
 
-@dataclass(frozen=True)
 class CokernelProfile:
     """Shape of B/A: per-degree dimensions, total length, socle."""
 
-    length: int
-    hilbert: tuple
-    socle_dim: int
-    annihilator_ok: bool
+    __slots__ = ("length", "hilbert", "socle_dim", "annihilator_ok")
+
+    def __init__(self, length, hilbert, socle_dim, annihilator_ok):
+        self.length = length
+        self.hilbert = hilbert
+        self.socle_dim = socle_dim
+        self.annihilator_ok = annihilator_ok
 
 
 def cokernel_profile(fam):
@@ -467,13 +468,15 @@ class GradedSubmodule:
         return out
 
 
-@dataclass(frozen=True)
 class ColonResult:
     """Degreewise solution of {b in B : b I <= X}, certified up to `bound`."""
 
-    pieces: dict
-    bound: int
-    note: str = ""
+    __slots__ = ("pieces", "bound", "note")
+
+    def __init__(self, pieces, bound, note=""):
+        self.pieces = pieces
+        self.bound = bound
+        self.note = note
 
     def piece(self, d):
         return self.pieces[d]
@@ -516,14 +519,9 @@ def verify_generation(fam, cond, elements):
     for a in elements:
         if p_degree(a) is None:
             raise ValueError("generation elements must be homogeneous and nonzero")
-    details = {"forward": [], "reverse": []}
-    for idx, a in enumerate(elements):
-        details["forward"].extend((idx, j, why) for j, why in lift_failures(fam, a, cond))
-    generated = GradedSubmodule.multiples(fam, elements)
-    details["reverse"].extend(
-        (f"{g.format(fam.context)} e_{i}", "not generated") for i, g in generated.missing(cond)
-    )
-    return not (details["forward"] or details["reverse"]), details
+    forward = [fail for a in elements for fail in lift_failures(fam, a, cond)]
+    reverse = GradedSubmodule.multiples(fam, elements).missing(cond)
+    return not (forward or reverse)
 
 
 def regular_sequence_on_B(fam, forms):

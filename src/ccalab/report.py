@@ -10,20 +10,23 @@ insertion order and serialization is key-sorted JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Claim:
-    claim_id: str
-    anchor: str
-    expected: object
-    computed: object
-    passed: bool | None
-    bound: int | None = None
-    note: str = ""
+    """One claim: passed is True, False, or None for an informational entry."""
+
+    __slots__ = ("claim_id", "anchor", "expected", "computed", "passed", "bound", "note")
+
+    def __init__(self, claim_id, anchor, expected, computed, passed, bound=None, note=""):
+        self.claim_id = claim_id
+        self.anchor = anchor
+        self.expected = expected
+        self.computed = computed
+        self.passed = passed
+        self.bound = bound
+        self.note = note
 
     def to_json(self):
         return {
@@ -37,11 +40,15 @@ class Claim:
         }
 
 
-@dataclass
 class VerificationReport:
-    subject: str
-    claims: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
+    """The claims checked about one subject, in the order they were checked."""
+
+    __slots__ = ("subject", "claims", "config")
+
+    def __init__(self, subject, claims=None, config=None):
+        self.subject = subject
+        self.claims = [] if claims is None else claims
+        self.config = {} if config is None else config
 
     def check(self, claim_id, anchor, expected, computed, bound=None, note=""):
         self.claims.append(

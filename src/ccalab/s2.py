@@ -9,13 +9,11 @@ extension of A with a height >= 2 conductor is decided by m in U(aA).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import UnitIdealError, ZeroDivisorError
 from .monomial import (
     Monomial,
     MonomialIdeal,
-    VarContext,
     monomials_of_degree,
     quotient_height,
 )
@@ -28,18 +26,18 @@ from .pullback import (
 )
 
 
-@dataclass(frozen=True)
 class QuotientRing:
     """A = T/a for a proper (or zero) monomial ideal a."""
 
-    context: VarContext
-    defining: MonomialIdeal
+    __slots__ = ("context", "defining")
 
-    def __post_init__(self):
-        if self.defining.context != self.context:
+    def __init__(self, context, defining):
+        if defining.context != context:
             raise ValueError("defining ideal in wrong context")
-        if self.defining.is_unit():
+        if defining.is_unit():
             raise UnitIdealError("the zero ring is not a quotient ring here")
+        self.context = context
+        self.defining = defining
 
     @classmethod
     def ambient(cls, ctx):
@@ -179,5 +177,4 @@ def s2_equals_B_test(fam, a, parameters=None):
         raise ValueError("element must be homogeneous")
     if not any(a == p for p in parameters):
         raise ValueError("element must belong to the supplied parameter system")
-    ok, _ = verify_generation(fam, cond, parameters)
-    return ok
+    return verify_generation(fam, cond, parameters)

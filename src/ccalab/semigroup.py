@@ -12,12 +12,11 @@ certifies them.  Defaults N = 40, margin = 10; both configurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import PrecisionError
-from .linalg import QQ, FieldSpec, Subspace, preimage
+from .linalg import QQ, Subspace, preimage
 from .report import VerificationReport
 
 DEFAULT_PRECISION = 40
@@ -256,7 +255,6 @@ def subalgebra_closure(gens, field, precision=DEFAULT_PRECISION, margin=DEFAULT_
 # -- quadratic extension models ------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadraticExtensionModel:
     """k = k0[alpha]/(alpha^2 - v alpha - u) acting on V = k[[t]], n = 1.
 
@@ -265,12 +263,13 @@ class QuadraticExtensionModel:
     x^2 - v x - u has no root in k0.
     """
 
-    base: FieldSpec
-    u: int
-    v: int
-    precision: int = DEFAULT_PRECISION
+    __slots__ = ("base", "u", "v", "precision")
 
-    def __post_init__(self):
+    def __init__(self, base, u, v, precision=DEFAULT_PRECISION):
+        self.base = base
+        self.u = u
+        self.v = v
+        self.precision = precision
         if self._has_root():
             raise ValueError("alpha lies in the base field: degenerate extension")
 

@@ -2,8 +2,10 @@
 
 These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
-complexes, a Betti sweep that computes every subset's restriction afresh,
-exhaustive prime enumeration for minimal primes, a dense
+complexes, reduced homology from the boundary matrices of the complex
+itself (the engine's original route, the reference for its cone and nerve
+shortcuts), a Betti sweep that computes every subset's restriction afresh
+by that route, exhaustive prime enumeration for minimal primes, a dense
 echelon (the engine's original one) as the reference for the sparse one,
 the engine's original element algebra of B (`BElement`, with its
 coefficient-matching membership test) and its lift route
@@ -18,8 +20,8 @@ B-regular sequences.
 from fractions import Fraction
 from itertools import combinations
 
-from ccalab.complexes import BettiTable, complex_of, reduced_homology
-from ccalab.linalg import QQ, Subspace
+from ccalab.complexes import BettiTable, boundary_matrix, complex_of
+from ccalab.linalg import QQ, Subspace, rank
 from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
 from ccalab.polys import p_degree, p_in_ideal
 from ccalab.pullback import CONGRUENCE, GradedSubmodule, colon_in_B, stable_subspace
@@ -92,17 +94,38 @@ def faces_by_membership(ideal):
     return sorted(faces)
 
 
+def homology_by_boundary_matrices(cplx, field):
+    """Ranks {i: dim H~_i} for i = -1 .. dim from the complex's own boundary matrices."""
+    layers = cplx.faces_by_dim()  # layers[k] = faces of cardinality k
+    top = len(layers) - 1
+    # Boundary maps are indexed by face cardinality, not by dimension:
+    # d_k maps span(layers[k]) -> span(layers[k-1]) for k >= 1, so faces of
+    # cardinality k sit in homological degree k - 1.
+    ranks = {}
+    for k in range(1, top + 1):
+        m = boundary_matrix(layers[k - 1], layers[k])
+        ranks[k] = rank(m, field) if layers[k] else 0
+    out = {}
+    for k in range(0, top + 1):  # homological degree i = k - 1
+        dim_ck = len(layers[k])
+        rk_in = ranks.get(k, 0)
+        rk_out = ranks.get(k + 1, 0)
+        out[k - 1] = dim_ck - rk_in - rk_out
+    return out
+
+
 def betti_by_full_sweep(ideal, field):
     """Hochster's formula with the homology of all 2^n restrictions computed.
 
     beta[i, sigma] = dim H~_{|sigma| - i - 2} of the restriction to sigma,
-    with no restriction shared between subsets.
+    with no restriction shared between subsets and every homology taken
+    from boundary matrices.
     """
     cplx = complex_of(ideal)
     entries = {}
     for mask in range(1 << ideal.context.n):
         size = mask.bit_count()
-        for j, r in reduced_homology(cplx.restriction(mask), field).items():
+        for j, r in homology_by_boundary_matrices(cplx.restriction(mask), field).items():
             if r and size - j - 2 >= 0:
                 entries[(size - j - 2, mask)] = r
     return BettiTable(ideal.context, field, entries)

@@ -78,7 +78,7 @@ def test_criterion_1_overlap_family_depth_one():
     ]
     a = p_linear(6, [0, 2, 4])
     b = p_linear(6, [1, 3, 5])
-    checks.append(verify_generation(fam, cond, [a, b])[0])  # m = aB + bB
+    checks.append(verify_generation(fam, cond, [a, b]))  # m = aB + bB
     elapsed = time.perf_counter() - start
     report("1 overlap family n=6 m=4", all(checks) and elapsed < 5.0)
 
@@ -144,7 +144,7 @@ def test_criterion_5_parameter_square_fibers_and_negative_control():
         prof = cokernel_profile(fam)
         checks += [prof.length == 2, prof.socle_dim == 1]
         alphas = [p_mono(g.exps) for g in q.ideal.gens]
-        checks.append(verify_generation(fam, q.ideal, alphas)[0])
+        checks.append(verify_generation(fam, q.ideal, alphas))
     # negative control
     ctx2 = make_context(2, "X")
     qneg = ArtinianQuotient(

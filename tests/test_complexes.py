@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ccalab import complexes
 from ccalab.complexes import (
     SimplicialComplex,
     complex_of,
@@ -17,7 +18,7 @@ from ccalab.errors import NotSquarefreeError, UnitIdealError, VoidComplexError
 from ccalab.linalg import GF, QQ
 from ccalab.monomial import MonomialIdeal, VarContext, make_context
 
-from oracles import betti_by_full_sweep, faces_by_membership
+from oracles import betti_by_full_sweep, faces_by_membership, homology_by_boundary_matrices
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("a", "b", "c"))
@@ -156,6 +157,83 @@ def test_euler_characteristic_matches_homology_over_every_field():
             assert chi == sum((-1) ** (f.bit_count() - 1) for f in c.faces())
 
 
+@pytest.fixture
+def routed(monkeypatch):
+    """reduced_homology with the route it took: "cone", "nerve" or "boundary"."""
+    ranked = []
+    by_matrices = complexes._homology_by_boundary_matrices
+
+    def spy(cplx, field):
+        ranked.append(cplx)
+        return by_matrices(cplx, field)
+
+    monkeypatch.setattr(complexes, "_homology_by_boundary_matrices", spy)
+
+    def run(cplx, field):
+        ranked.clear()
+        hom = reduced_homology(cplx, field)
+        if not ranked:
+            return hom, "cone"
+        return hom, "boundary" if ranked == [cplx] else "nerve"
+
+    return run
+
+
+def test_homology_routes_match_boundary_matrices(routed):
+    rng = random.Random(41)
+    fields = (QQ, GF(2), GF(3))
+    routes = {"cone": 0, "nerve": 0, "boundary": 0}
+    for case in range(450):
+        # facets of at most n - 2 vertices keep cones from crowding out the rest
+        n = rng.randint(1, 10)
+        facets = [
+            sum(1 << v for v in rng.sample(range(n), rng.randint(0, max(0, n - 2))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        c = SimplicialComplex(make_context(n), facets)
+        field = fields[case % 3]
+        hom, route = routed(c, field)
+        assert hom == homology_by_boundary_matrices(c, field)
+        routes[route] += 1
+    assert min(routes.values()) >= 50, routes
+
+
+def _rp2_facet_nerve():
+    """Six facets of size 5 on 10 vertices whose nerve is rp2: vertex t is
+    triangle t of rp2, and facet v holds the triangles that contain v."""
+    triangles = rp2().facets
+    return SimplicialComplex(
+        make_context(10),
+        [sum(1 << t for t, f in enumerate(triangles) if f >> v & 1) for v in range(6)],
+    )
+
+
+@pytest.mark.parametrize(
+    "facets, n, route, expected",
+    [
+        ([0], 3, "boundary", {-1: 1}),  # the irrelevant complex {()}
+        ([0b0110], 4, "cone", {-1: 0, 0: 0, 1: 0}),
+        ([0b10110, 0b00101, 0b01100], 5, "cone", {-1: 0, 0: 0, 1: 0, 2: 0}),  # apex x3
+        ([0b00011, 0b11100], 5, "nerve", {-1: 0, 0: 1, 1: 0, 2: 0}),
+    ],
+)
+def test_homology_route_edge_cases(routed, facets, n, route, expected):
+    c = SimplicialComplex(make_context(n), facets)
+    for field in (QQ, GF(2), GF(3)):
+        assert routed(c, field) == (expected, route)
+        assert homology_by_boundary_matrices(c, field) == expected
+
+
+def test_homology_torsion_through_the_nerve(routed):
+    c = _rp2_facet_nerve()
+    assert [f.bit_count() for f in c.facets] == [5] * 6
+    zeros = dict.fromkeys(range(-1, 5), 0)
+    assert routed(c, QQ) == (zeros, "nerve")
+    assert routed(c, GF(2)) == ({**zeros, 1: 1, 2: 1}, "nerve")
+    for field in (QQ, GF(2)):
+        assert routed(c, field)[0] == homology_by_boundary_matrices(c, field)
+
+
 # -- graded Betti numbers --------------------------------------------------------
 
 
@@ -268,6 +346,17 @@ def test_depth_grid_family_is_two():
     ideal = primes[0].intersect(primes[1]).intersect(primes[2])
     assert dim_of_quotient(ideal) == 4
     assert depth(ideal, QQ) == 2
+
+
+def test_depth_grid_four_by_three_routes_agree():
+    # four disjoint 3-subsets of 12 variables: each restriction and link has
+    # at most four facets of up to nine vertices, so the nerve carries the work
+    ctx = make_context(12)
+    ideal = MonomialIdeal.from_support(ctx, ["x1", "x2", "x3"])
+    for i in (4, 7, 10):
+        ideal = ideal.intersect(MonomialIdeal.from_support(ctx, [f"x{i + j}" for j in range(3)]))
+    assert depth(ideal, QQ) == 3
+    assert depth_via_local_cohomology(ideal, QQ) == 3
 
 
 def test_depth_non_squarefree_via_polarization():

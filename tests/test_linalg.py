@@ -76,7 +76,8 @@ def test_rank_mod_p_differs_from_rational():
 
 
 def _boundary_matrices():
-    """The boundary matrices reduced_homology ranks, on rp2 and a few random complexes."""
+    """Boundary matrices of rp2 and a few random complexes, as the boundary-matrix
+    route of reduced homology builds them."""
     rng = random.Random(17)
     complexes = [rp2()]
     for _ in range(6):

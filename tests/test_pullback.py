@@ -244,15 +244,15 @@ def test_generation_overlap(overlap6):
     cond = conductor(overlap6)
     a = p_linear(6, [0, 2, 4])
     b = p_linear(6, [1, 3, 5])
-    ok, _ = verify_generation(overlap6, cond, [a, b])
-    assert ok
-    ok_single, detail = verify_generation(overlap6, cond, [a])
-    assert not ok_single
-    assert detail["forward"] == []
-    assert detail["reverse"] == [
-        ("x6 e_0", "not generated"),
-        ("x4 e_2", "not generated"),
-        ("x2 e_1", "not generated"),
+    assert verify_generation(overlap6, cond, [a, b])
+    assert not verify_generation(overlap6, cond, [a])
+    # aB lies in the conductor, but misses one generator in each component
+    assert lift_failures(overlap6, a, cond) == []
+    missing = GradedSubmodule.multiples(overlap6, [a]).missing(cond)
+    assert [f"{g.format(overlap6.context)} e_{i}" for i, g in missing] == [
+        "x6 e_0",
+        "x4 e_2",
+        "x2 e_1",
     ]
 
 
@@ -276,10 +276,8 @@ def test_multiples_need_homogeneous_components(overlap6):
 
 def test_generation_fiber_alphas(fiber_x1sq):
     cond = conductor(fiber_x1sq)
-    ok, _ = verify_generation(fiber_x1sq, cond, [p_mono((2, 0)), p_mono((0, 1))])
-    assert ok
-    ok_single, _ = verify_generation(fiber_x1sq, cond, [p_mono((2, 0))])
-    assert not ok_single
+    assert verify_generation(fiber_x1sq, cond, [p_mono((2, 0)), p_mono((0, 1))])
+    assert not verify_generation(fiber_x1sq, cond, [p_mono((2, 0))])
 
 
 def test_regular_sequence(two_planes):
