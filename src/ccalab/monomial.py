@@ -6,7 +6,7 @@ so equal ideals compare and hash equal.  Conventions: the zero ideal has
 no generators; the unit ideal is generated by the monomial 1.  Both are
 admitted by every operation that does not explicitly exclude them.
 
-Membership and containment use exponent arithmetic only (gcd/lcm and
+Membership and containment use exponent arithmetic only (lcm and
 divisibility); there are no term orders or division algorithms here.
 
 >>> ctx = VarContext(("x", "y", "z"))
@@ -130,14 +130,8 @@ class Monomial:
             raise ValueError(f"{other} does not divide {self}")
         return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
 
-    def gcd(self, other):
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
     def lcm(self, other):
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def radical(self):
-        return Monomial(tuple(min(e, 1) for e in self.exps))
 
     def format(self, ctx):
         if self.is_one():
@@ -330,38 +324,21 @@ class MonomialIdeal:
             self.context, [a.lcm(b) for a in self.gens for b in other.gens]
         )
 
-    def colon(self, other):
-        """I : J = {f : f*J in I}.
-
-        Conventions: I : (0) is the unit ideal; I : (1) = I; and over a
-        domain (0) : J = (0) for J != 0.
-        """
-        self._check(other)
-        if other.is_zero():
-            return MonomialIdeal.unit(self.context)
-        if self.is_zero():
-            return MonomialIdeal.zero(self.context)
-        result = None
-        for g in other.gens:
-            piece = MonomialIdeal(self.context, [m // m.gcd(g) for m in self.gens])
-            result = piece if result is None else result.intersect(piece)
-        return result
-
-    def radical(self):
-        return MonomialIdeal(self.context, [g.radical() for g in self.gens])
-
     # -- structure ---------------------------------------------------------
 
     def minimal_primes(self):
         """Inclusion-minimal primes over the ideal, canonically sorted.
 
-        The zero ideal has the zero ideal (empty support) as its unique
-        minimal prime; the unit ideal is rejected.
+        A monomial prime (x_i : i in S) contains I iff S meets the support
+        of every generator, so the minimal primes are the minimal vertex
+        covers of the generator supports (a generator and its radical have
+        the same support).  The zero ideal has the zero ideal (empty
+        support) as its unique minimal prime; the unit ideal is rejected.
         """
         if self.is_unit():
             raise UnitIdealError("unit ideal has no minimal primes")
-        supports = [g.support_mask() for g in self.radical().gens]
-        covers = _minimal_covers(tuple(sorted(supports)))
+        supports = _minimal_masks([g.support_mask() for g in self.gens])
+        covers = _minimal_covers(tuple(supports))
         return [
             MonomialPrime(self.context, c)
             for c in sorted(covers, key=lambda m: (m.bit_count(), m))
@@ -426,33 +403,24 @@ class MonomialIdeal:
         components = sorted(set(components), key=lambda c: tuple(map(_canon_key, c.gens)))
         return _irredundant(components)
 
-    def primary_decomposition(self):
-        """Primary components, grouped from the irreducible ones by radical."""
-        groups = {}
-        for comp in self.irreducible_decomposition():
-            groups.setdefault(comp.radical_support_mask(), []).append(comp)
-        out = []
-        for mask in sorted(groups, key=lambda m: (m.bit_count(), m)):
-            out.append(
-                (
-                    MonomialPrime(self.context, mask),
-                    intersect_all(groups[mask]),
-                )
-            )
-        return out
-
     def unmixed_part(self):
         """Intersection of the primary components at the minimal primes.
 
-        The unit ideal is its own unmixed part (the aM = M branch of the
-        definition); the zero ideal is rejected.
+        At a minimal prime P the P-primary component is I T_P cap T, and
+        for a monomial ideal that is the ideal of the generators with every
+        variable outside P set to 1.  The unit ideal is its own unmixed
+        part (the aM = M branch of the definition); the zero ideal is
+        rejected.
         """
         if self.is_zero():
             raise ZeroIdealError("unmixed part of the zero ideal")
         if self.is_unit():
             return self
-        minimal = {p.mask for p in self.minimal_primes()}
-        parts = [q for p, q in self.primary_decomposition() if p.mask in minimal]
+        parts = []
+        for p in self.minimal_primes():
+            keep = [(p.mask >> i) & 1 for i in range(self.context.n)]
+            local = [Monomial(e * k for e, k in zip(g.exps, keep)) for g in self.gens]
+            parts.append(MonomialIdeal(self.context, local))
         return intersect_all(parts)
 
     def height_and_dim(self):
@@ -567,19 +535,16 @@ def _minimal_masks(masks):
 
 
 def _irredundant(components):
-    """Drop components containing the intersection of the others."""
-    comps = list(components)
-    changed = True
-    while changed and len(comps) > 1:
-        changed = False
-        for i in range(len(comps)):
-            others = comps[:i] + comps[i + 1 :]
-            inter = intersect_all(others)
-            if comps[i].contains_ideal(inter):
-                comps.pop(i)
-                changed = True
-                break
-    return comps
+    """Keep the components that contain no other one, in input order.
+
+    Monomial ideals form a distributive lattice under cap and +, where an
+    irreducible ideal is meet-prime: it contains A cap B only if it
+    contains A or B.  So a component contains the intersection of the
+    others iff it contains one of them.  The input has no repeats.
+    """
+    return [
+        c for c in components if not any(d is not c and c.contains_ideal(d) for d in components)
+    ]
 
 
 def intersect_all(ideals):

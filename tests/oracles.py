@@ -5,7 +5,11 @@ sweeps over all monomials up to a degree bound, subset enumeration for
 complexes, reduced homology from the boundary matrices of the complex
 itself (the engine's original route, the reference for its cone and nerve
 shortcuts), a Betti sweep that computes every subset's restriction afresh
-by that route, exhaustive prime enumeration for minimal primes, a dense
+by that route, exhaustive prime enumeration for minimal primes, the
+engine's original unmixed part (primary components grouped from the
+irreducible ones) and irredundance loop (each component against the
+intersection of the others) as the references for the rules read off
+the generators and for irredundance by inclusion, a dense
 echelon (the engine's original one) as the reference for the sparse one,
 the engine's original element algebra of B (`BElement`, with its
 coefficient-matching membership test) and its lift route
@@ -22,7 +26,7 @@ from itertools import combinations
 
 from ccalab.complexes import BettiTable, boundary_matrix, complex_of
 from ccalab.linalg import QQ, Subspace, rank
-from ccalab.monomial import Monomial, MonomialIdeal, monomials_of_degree
+from ccalab.monomial import Monomial, MonomialIdeal, intersect_all, monomials_of_degree
 from ccalab.polys import p_degree, p_in_ideal
 from ccalab.pullback import CONGRUENCE, GradedSubmodule, colon_in_B, stable_subspace
 from ccalab.s2 import trace_ideal_check
@@ -57,16 +61,6 @@ def intersection_by_membership(i, j, max_degree):
     return MonomialIdeal(i.context, members)
 
 
-def colon_by_membership(i, g, max_degree):
-    """I : (g) by sweeping monomials m with m*g in I."""
-    members = [
-        m
-        for m in all_monomials_up_to(i.context.n, max_degree)
-        if i.contains(m * g)
-    ]
-    return MonomialIdeal(i.context, members)
-
-
 def minimal_primes_by_enumeration(i):
     """All inclusion-minimal monomial primes containing I, by enumeration."""
     n = i.context.n
@@ -81,6 +75,38 @@ def minimal_primes_by_enumeration(i):
         s for s in containing if not any(t < s for t in containing)
     ]
     return sorted(minimal, key=lambda s: (len(s), sorted(s)))
+
+
+def unmixed_part_by_primary_components(i):
+    """The unmixed part of a proper nonzero ideal by the engine's original route.
+
+    The irreducible components are grouped by radical into primary
+    components, and those at the minimal primes (found by enumeration)
+    are intersected.
+    """
+    groups = {}
+    for comp in i.irreducible_decomposition():
+        groups.setdefault(comp.radical_support_mask(), []).append(comp)
+    minimal = [sum(1 << k for k in s) for s in minimal_primes_by_enumeration(i)]
+    return intersect_all([intersect_all(groups[mask]) for mask in minimal])
+
+
+def irredundant_by_intersections(components):
+    """The engine's original irredundance loop.
+
+    Drops the first component that contains the intersection of the
+    others, and restarts, until no component does.
+    """
+    comps = list(components)
+    changed = True
+    while changed and len(comps) > 1:
+        changed = False
+        for k in range(len(comps)):
+            if comps[k].contains_ideal(intersect_all(comps[:k] + comps[k + 1 :])):
+                comps.pop(k)
+                changed = True
+                break
+    return comps
 
 
 def faces_by_membership(ideal):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ccalab import monomial
 from ccalab.errors import ContextMismatchError, UnitIdealError, ZeroIdealError
 from ccalab.monomial import (
     Monomial,
@@ -9,15 +10,15 @@ from ccalab.monomial import (
     VarContext,
     intersect_all,
     make_context,
-    parse_monomial,
     quotient_height,
 )
 
 from oracles import (
-    colon_by_membership,
     intersection_by_membership,
+    irredundant_by_intersections,
     minimal_primes_by_enumeration,
     same_members_up_to,
+    unmixed_part_by_primary_components,
 )
 
 CTX2 = VarContext(("x", "y"))
@@ -64,9 +65,6 @@ def test_zero_and_unit_conventions():
     i = ideal(CTX2, "x*y")
     assert i.intersect(u) == i
     assert i.intersect(z) == z
-    assert i.colon(u) == i
-    assert i.colon(z) == u
-    assert z.colon(i) == z
 
 
 def test_context_mismatch_raises():
@@ -97,30 +95,6 @@ def test_intersect_associative_commutative():
         a, b, c = (random_ideal(rng, ctx) for _ in range(3))
         assert a.intersect(b) == b.intersect(a)
         assert a.intersect(b.intersect(c)) == a.intersect(b).intersect(c)
-
-
-# -- colon -------------------------------------------------------------------
-
-
-def test_colon_divide_out():
-    assert ideal(CTX2, "x*y").colon(ideal(CTX2, "x")) == ideal(CTX2, "y")
-
-
-def test_colon_two_planes_by_x_frozen_and_oracle():
-    i = ideal(CTX4, "x", "y").intersect(ideal(CTX4, "z", "w"))
-    got = i.colon(ideal(CTX4, "x"))
-    assert got == ideal(CTX4, "z", "w")
-    assert got == colon_by_membership(i, parse_monomial(CTX4, "x"), 2)
-
-
-def test_colon_intersection_adjunction_random():
-    rng = random.Random(2)
-    ctx = make_context(5)
-    for _ in range(40):
-        i, j, k = (random_ideal(rng, ctx) for _ in range(3))
-        lhs = i.intersect(j).colon(k)
-        rhs = i.colon(k).intersect(j.colon(k))
-        assert lhs == rhs
 
 
 # -- minimal primes ----------------------------------------------------------
@@ -158,21 +132,6 @@ def test_minimal_primes_random_against_enumeration():
             for p in i.minimal_primes()
         )
         assert got == sorted(minimal_primes_by_enumeration(i))
-
-
-def test_minimal_primes_equal_radical_minimal_primes():
-    rng = random.Random(4)
-    ctx = make_context(4)
-    for _ in range(20):
-        i = random_ideal(rng, ctx)
-        if i.is_unit():
-            continue
-        assert i.minimal_primes() == i.radical().minimal_primes()
-
-
-def test_radical_of_squarefree_is_identity():
-    i = ideal(CTX4, "x*y", "z")
-    assert i.radical() == i
 
 
 # -- irreducible decomposition ----------------------------------------------
@@ -272,6 +231,46 @@ def test_unmixed_part_contains_and_idempotent():
         assert u.unmixed_part() == u
 
 
+def test_rules_off_the_generators_match_the_original_routes(monkeypatch):
+    """Minimal primes, unmixed part and irredundance against their references.
+
+    Random ideals on 1-6 variables with exponents <= 3.  Every component
+    list `_irredundant` receives is also run through the original loop,
+    and the run must reach both hard cases: ideals with embedded
+    components, and irredundance calls that drop a component.
+    """
+    calls = []
+    irredundant = monomial._irredundant
+
+    def spy(components):
+        got = irredundant(components)
+        calls.append((list(components), got))
+        return got
+
+    monkeypatch.setattr(monomial, "_irredundant", spy)
+    rng = random.Random(12)
+    tested = embedded = 0
+    while tested < 400:
+        ctx = make_context(rng.randint(1, 6))
+        gens = [
+            Monomial(rng.randint(0, 3) * (rng.random() < 0.6) for _ in range(ctx.n))
+            for _ in range(rng.randint(1, 4))
+        ]
+        i = MonomialIdeal(ctx, gens)
+        if i.is_unit():
+            continue
+        tested += 1
+        got = [frozenset(ctx.index(v) for v in p.variable_names()) for p in i.minimal_primes()]
+        assert sorted(got, key=sorted) == sorted(minimal_primes_by_enumeration(i), key=sorted)
+        u = i.unmixed_part()
+        assert u == unmixed_part_by_primary_components(i)
+        embedded += u != i
+    for components, got in calls:
+        assert got == irredundant_by_intersections(components)
+    assert embedded >= 50
+    assert sum(len(got) < len(components) for components, got in calls) >= 50
+
+
 # -- polarization --------------------------------------------------------------
 
 
@@ -302,7 +301,7 @@ def test_outputs_carry_no_divisor_pairs():
     for _ in range(30):
         a = random_ideal(rng, ctx)
         b = random_ideal(rng, ctx)
-        for result in (a + b, a * b, a.intersect(b), a.colon(b), a.radical()):
+        for result in (a + b, a * b, a.intersect(b)):
             gens = result.gens
             for p in gens:
                 for q in gens:
