@@ -18,7 +18,10 @@ the engine's original per-mode constructions of the pullback layer, its
 original element-by-element membership tests for the conductor and its
 annihilation of B/A, its original two-colon endomorphism-ring
 comparison for the trace check, and its original degree sweep for
-B-regular sequences.
+B-regular sequences; for the truncated-series layer, the engine's
+original symmetry test (the pairing s -> F - s and the genus count) as
+the reference for the genus rule, and truncated subalgebras spanned by
+the products of their generators as the reference for the closure loop.
 """
 
 from fractions import Fraction
@@ -164,6 +167,51 @@ def sieve_semigroup(gens, limit):
     for x in range(1, limit + 1):
         table[x] = any(g <= x and table[x - g] for g in gens)
     return table
+
+
+def symmetric_by_pairing(h):
+    """Gaps pair with members under s -> F - s, and 2 * genus = F + 1."""
+    f = h.frobenius()
+    return all(
+        h.contains(s) != h.contains(f - s) for s in range(0, f + 1)
+    ) and len(h.gaps()) * 2 == f + 1
+
+
+def subalgebra_by_products(gens, field, precision):
+    """The unital subalgebra of k[t]/(t^N) generated by the series gens.
+
+    It is the span of 1 and of every product prod g_i^{a_i}; that product
+    has valuation sum a_i v(g_i), so only those with sum < N are nonzero.
+    Products are dense coefficient lists; each generator needs v(g) >= 1.
+    """
+    vecs, vals = [], []
+    for g in gens:
+        vec = [field.of(g.get(e, 0)) for e in range(precision)]
+        if any(vec):
+            vecs.append(vec)
+            vals.append(next(e for e, x in enumerate(vec) if x))
+    if 0 in vals:
+        raise ValueError("a generator of valuation 0 has products of every length")
+
+    def times(a, b):
+        out = [field.of(0)] * precision
+        for i, x in enumerate(a):
+            if x:
+                for j in range(precision - i):
+                    out[i + j] = field.add(out[i + j], field.mul(x, b[j]))
+        return out
+
+    span = Subspace(field, precision)
+
+    def extend(first, product, valuation):
+        # one product per multiset of generators: indices never decrease
+        span.insert(product)
+        for k in range(first, len(vecs)):
+            if valuation + vals[k] < precision:
+                extend(k, times(product, vecs[k]), valuation + vals[k])
+
+    extend(0, [field.one()] + [field.of(0)] * (precision - 1), 0)
+    return span
 
 
 # -- dense reference for linalg.Subspace / linalg.nullspace --------------

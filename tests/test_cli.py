@@ -137,6 +137,19 @@ def test_verify_all_via_registry():
     assert len(payload["reports"]) == 3
 
 
+def test_subalgebra_notes_why_the_conductor_is_uncertified():
+    # at precision 20 and margin 5 the window is [0, 15)
+    for gens, note in (
+        ("t^3", "valuation pattern not stabilized below window 15"),
+        ("t^2+t^3", "no t-power tail inside the window"),
+    ):
+        res = run("subalgebra", "--gens", gens, "--prec", "20", "--margin", "5")
+        assert res.exit_code == 0
+        data = json.loads(res.output)
+        assert data["conductor_exponent"] is None
+        assert data["note"] == note
+
+
 def test_subalgebra_negative_margin_exits_two():
     # a negative margin would certify valuations past the truncation at t^20
     res = run("subalgebra", "--gens", "t^4,t^6", "--prec", "20", "--margin", "-10")

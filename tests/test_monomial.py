@@ -106,7 +106,8 @@ def test_minimal_primes_frozen_and_oracle():
     got = [set(p.variable_names()) for p in i.minimal_primes()]
     assert got == [{"x"}, {"y", "z"}]
     oracle = minimal_primes_by_enumeration(i)
-    assert sorted(frozenset(ctx.index(v) for v in p.variable_names()) for p in i.minimal_primes()) == sorted(oracle)
+    got = [frozenset(ctx.index(v) for v in p.variable_names()) for p in i.minimal_primes()]
+    assert sorted(got, key=sorted) == sorted(oracle, key=sorted)
 
 
 def test_minimal_primes_of_prime_intersection():
@@ -127,11 +128,8 @@ def test_minimal_primes_random_against_enumeration():
         i = random_ideal(rng, ctx)
         if i.is_unit():
             continue
-        got = sorted(
-            frozenset(ctx.index(v) for v in p.variable_names())
-            for p in i.minimal_primes()
-        )
-        assert got == sorted(minimal_primes_by_enumeration(i))
+        got = [frozenset(ctx.index(v) for v in p.variable_names()) for p in i.minimal_primes()]
+        assert sorted(got, key=sorted) == sorted(minimal_primes_by_enumeration(i), key=sorted)
 
 
 # -- irreducible decomposition ----------------------------------------------

@@ -1,13 +1,19 @@
+import random
+from collections import Counter
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from ccalab.errors import PrecisionError
-from ccalab.linalg import GF, QQ
+from ccalab.linalg import GF, QQ, Subspace
 from ccalab.semigroup import (
     NumericalSemigroup,
     QuadraticExtensionModel,
     cone_model_checks,
     parse_t_series,
     quadratic_extension_checks,
+    quadratic_extension_closure,
     quadratic_extension_report,
     semigroup_cone_report,
     semigroup_invariants,
@@ -15,7 +21,7 @@ from ccalab.semigroup import (
     subalgebra_report,
 )
 
-from oracles import sieve_semigroup
+from oracles import sieve_semigroup, subalgebra_by_products, symmetric_by_pairing
 
 CASE2_GENS = [parse_t_series(t) for t in ("t^2+t^3", "t^4", "t^6")]
 
@@ -75,11 +81,16 @@ def test_gaps_against_independent_sieve():
 
 
 def test_symmetry_matches_direct_pairing():
-    for gens in [(2, 3), (3, 4), (3, 5), (4, 5), (3, 7), (4, 6, 9)]:
-        h = NumericalSemigroup(gens)
-        f = h.frobenius()
-        direct = all(h.contains(s) != h.contains(f - s) for s in range(f + 1))
-        assert h.is_symmetric() == direct
+    # every 2- or 3-element generator set in [2, 13] with gcd 1
+    outcomes = Counter()
+    for size in (2, 3):
+        for gens in combinations(range(2, 14), size):
+            if gcd(*gens) != 1:
+                continue
+            h = NumericalSemigroup(gens)
+            assert h.is_symmetric() == symmetric_by_pairing(h), gens
+            outcomes[h.is_symmetric()] += 1
+    assert outcomes[True] >= 50 and outcomes[False] >= 50
 
 
 # -- truncated subalgebras ------------------------------------------------------
@@ -104,6 +115,22 @@ def test_monomial_closure_pattern_for_many_semigroups():
         p = subalgebra_closure([{g: 1} for g in h.gens], QQ, 30, 8)
         assert p.valuations() == [x for x in range(22) if h.contains(x)]
         assert p.conductor_exponent() == h.conductor()
+
+
+def test_closure_matches_products_oracle():
+    rng = random.Random(19)
+    for case in range(120):
+        field = (QQ, GF(2), GF(3))[case % 3]
+        precision = rng.randint(17, 26)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randint(2, 6)
+            g = {v: 1}
+            for e in rng.sample(range(v + 1, precision + 3), rng.randint(1, 3)):
+                g[e] = rng.choice((-3, -2, -1, 1, 2, 3))
+            gens.append(g)
+        p = subalgebra_closure(gens, field, precision, 5)
+        assert p.basis == subalgebra_by_products(gens, field, precision), (field, gens)
 
 
 def test_characteristic_split_frozen_values():
@@ -195,6 +222,15 @@ def test_subalgebra_claims_outside_the_window_raise():
 
 
 # -- quadratic extensions ---------------------------------------------------------
+
+
+def test_quadratic_closure_is_k0_plus_tV():
+    # P = k0 + tV, truncated: the span of 1 and of t^j, alpha t^j for 1 <= j < N
+    for base, u, v in ((QQ, -1, 0), (QQ, -2, 1), (GF(3), 1, 1), (GF(5), 2, 0)):
+        for n in (8, 20):
+            model = QuadraticExtensionModel(base, u=u, v=v, precision=n)
+            units = [{0: 1}] + [{2 * j + part: 1} for j in range(1, n) for part in (0, 1)]
+            assert quadratic_extension_closure(model) == Subspace(base, 2 * n, units)
 
 
 def test_quadratic_extension_rational_i():
