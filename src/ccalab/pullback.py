@@ -1,13 +1,13 @@
 """Pullback presentations A inside B with exact graded linear algebra.
 
-Two modes:
-
-* intersection: A = T/(P_1 cap ... cap P_l) sitting inside
-  B = (+) T/P_i, where the P_i are monomial primes generated by variable
-  sets F_i forming an antichain.  Component i of B is the polynomial ring
-  on the variables outside F_i.
-* congruence: A = {(x, y) in S x S : x == y mod q} inside B = S x S for a
-  proper monomial ideal q (the fiber-product construction).
+A family is monomial primes P_1..P_l, generated by variable sets F_i,
+and a monomial ideal q.  B = (+) T/P_i, whose component i is the
+polynomial ring on the variables outside F_i, and one rule gives A:
+A = {b in B : b_i == b_j mod P_i + P_j + q}.  A monomial lies in a sum of
+monomial ideals iff it lies in one of them, so the rule is read off
+supports.  An intersection has q = 0 and antichain supports F_i, so
+A = T/(P_1 cap ... cap P_l).  A congruence has two zero primes and a
+proper q, so A = {(x, y) in S x S : x == y mod q} (the fiber product).
 
 Everything is graded, and this layer solves every system exactly over Q.
 That is exact for monomial data in any characteristic: its subspaces are
@@ -48,7 +48,7 @@ _CONDUCTOR_PAD = 2
 
 
 class PullbackFamily:
-    """A = T/(cap P_i) in (+) T/P_i, or a congruence pullback S x_{S/q} S."""
+    """The pullback A of primes P_i and q inside (+) T/P_i (see the module docstring)."""
 
     # _free[i]: the variables that are nonzero in component i
     __slots__ = ("context", "mode", "primes", "q", "_free", "_basis_cache")
@@ -57,7 +57,6 @@ class PullbackFamily:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_basis_cache", {})
-        full = (1 << context.n) - 1
         if mode == INTERSECTION:
             primes = tuple(primes)
             # l = 1 is admitted as the degenerate A = B case
@@ -72,19 +71,19 @@ class PullbackFamily:
                 for k, b in enumerate(primes):
                     if j != k and a.mask & b.mask == a.mask:
                         raise ValueError("component supports must form an antichain")
-            object.__setattr__(self, "primes", primes)
-            object.__setattr__(self, "q", None)
-            object.__setattr__(self, "_free", tuple(full & ~p.mask for p in primes))
+            q = MonomialIdeal.zero(context)
         elif mode == CONGRUENCE:
             if q is None or q.is_unit():
                 raise ValueError("congruence mode needs a proper monomial ideal")
             if q.context != context:
                 raise ContextMismatchError("q in wrong context")
-            object.__setattr__(self, "primes", None)
-            object.__setattr__(self, "q", q)
-            object.__setattr__(self, "_free", (full, full))
+            primes = (MonomialPrime(context, 0),) * 2
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        full = (1 << context.n) - 1
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_free", tuple(full & ~p.mask for p in primes))
 
     def __setattr__(self, *a):
         raise AttributeError("PullbackFamily is immutable")
@@ -101,19 +100,22 @@ class PullbackFamily:
 
     @property
     def ell(self):
-        return len(self._free)
-
-    def full_mask(self):
-        return (1 << self.context.n) - 1
+        return len(self.primes)
 
     def defining_ideal(self):
         """cap P_i in intersection mode (the ideal presenting A)."""
         if self.mode != INTERSECTION:
             raise ValueError("no monomial presentation in congruence mode")
-        return intersect_all([p.ideal() for p in self.primes])
+        return self._meet()
+
+    def _meet(self):
+        """cap P_i, computed once a family and kept in its cache."""
+        if "meet" not in self._basis_cache:
+            self._basis_cache["meet"] = intersect_all([p.ideal() for p in self.primes])
+        return self._basis_cache["meet"]
 
     def is_unmixed(self):
-        """Do the component primes all have the same height (intersection mode)?"""
+        """Do the component primes all have the same height?"""
         return len({p.size() for p in self.primes}) == 1
 
     def surviving(self, exps):
@@ -122,9 +124,7 @@ class PullbackFamily:
         return [i for i, free in enumerate(self._free) if mask & ~free == 0]
 
     def reduce_poly(self, i, poly):
-        """Image of a T-polynomial in component i."""
-        if self.mode == CONGRUENCE:
-            return dict(poly)
+        """Image of a T-polynomial in component i: its terms that survive there."""
         bad = ~self._free[i]
         return {m: c for m, c in poly.items() if exps_support_mask(m) & bad == 0}
 
@@ -135,20 +135,18 @@ class PullbackFamily:
         key = ("B", d)
         got = self._basis_cache.get(key)
         if got is None:
-            got = []
-            for i in range(self.ell):
-                for exps in monomials_of_degree(self.context.n, d, self._free[i]):
-                    got.append((i, exps))
-            got = tuple(got)
-            self._basis_cache[key] = got
+            got = self._basis_cache[key] = tuple(
+                (i, exps)
+                for i, free in enumerate(self._free)
+                for exps in monomials_of_degree(self.context.n, d, free)
+            )
         return got
 
     def basis_index(self, d):
         key = ("Bi", d)
         got = self._basis_cache.get(key)
         if got is None:
-            got = {pair: k for k, pair in enumerate(self.basis_B(d))}
-            self._basis_cache[key] = got
+            got = self._basis_cache[key] = {pair: k for k, pair in enumerate(self.basis_B(d))}
         return got
 
     def dim_B(self, d):
@@ -162,15 +160,17 @@ class PullbackFamily:
 
         The pair stands for the sum of x^e e_i over its components.  x^e is
         nonzero in A iff it survives in some component, so the monomials
-        and their components are read off the cached basis_B(d).  In
-        congruence mode x^e in q splits into (x^e, 0) and (0, x^e).
+        and their components are read off the cached basis_B(d).  x^e in q
+        lies in every P_i + P_j + q, so it splits into one element x^e e_i
+        per component; any other x^e needs one coefficient wherever it
+        survives.
         """
         comps = {}
         for i, e in self.basis_B(d):
             comps.setdefault(e, []).append(i)
         out = []
         for e in sorted(comps):
-            if self.mode == CONGRUENCE and self.q.contains(Monomial(e)):
+            if self.q.contains(Monomial(e)):
                 out.extend((e, (i,)) for i in comps[e])
             else:
                 out.append((e, tuple(comps[e])))
@@ -222,30 +222,23 @@ def stable_subspace(fam, x_submodule, multipliers, d):
 def conductor(fam):
     """The conductor A : B, computed two independent ways.
 
-    Closed path: the sum over i of the intersections of the other
-    components (intersection mode) or q itself (congruence mode, where the
-    conductor is q B), read off basis_B.  Direct path: degree by degree, the
-    preimage of the A-piece under every projection b -> b e_i, solved
-    without the formula.  That preimage is exactly the conductor's piece:
-    b = sum b e_i puts such a b in A, and B = sum A e_i then gives bB in A.
-    The two spans must agree on every degree swept; disagreement raises
+    Closed path: the sum over i of the intersections of the P_j + q over
+    j != i (for a congruence both are q, and the conductor is q B), read
+    off basis_B.  Direct path: degree by degree, the preimage of the
+    A-piece under every projection b -> b e_i, solved without the formula.
+    That preimage is exactly the conductor's piece: b = sum b e_i puts
+    such a b in A, and B = sum A e_i then gives bB in A.  The two spans
+    must agree on every degree swept; disagreement raises
     MethodDisagreementError (an implementation bug, never swallowed).  The
     result is kept in the family's cache, so the check runs once a family.
     """
     if "conductor" in fam._basis_cache:
         return fam._basis_cache["conductor"]
-    if fam.mode == CONGRUENCE:
-        formula = fam.q
-    elif fam.ell == 1:
+    if fam.ell == 1:
         formula = MonomialIdeal.unit(fam.context)  # degenerate A = B
     else:
-        primes = [p.ideal() for p in fam.primes]
-        formula = sum_all(
-            [
-                intersect_all([q for j, q in enumerate(primes) if j != i])
-                for i in range(fam.ell)
-            ]
-        )
+        cuts = [p.ideal() + fam.q for p in fam.primes]
+        formula = sum_all([intersect_all(cuts[:i] + cuts[i + 1 :]) for i in range(fam.ell)])
     unit_A = GradedSubmodule.unit_A(fam)
     for d in range(formula.max_gen_degree() + _CONDUCTOR_PAD + 1):
         basis = fam.basis_B(d)
@@ -279,36 +272,30 @@ def monomial_span(fam, ideal, d):
 def lift_failures(fam, a, ideal):
     """The components j where a e_j is not in A, or lifts to T outside the ideal.
 
-    a is a T-polynomial.  In intersection mode a e_j has one nonzero part,
-    reduce_poly(j, a).  A term of it that survives in another component
-    would need the same coefficient there, so a e_j lies in A iff every
-    term survives in component j alone, and that part is then its lift to T.
-    In congruence mode a e_j lies in A iff a lies in q, which is the
-    conductor; there is no lift.
+    a is a T-polynomial, and a e_j has one nonzero part, reduce_poly(j, a).
+    A term of it in q lies in every P_i + P_j + q, so it is cut from the
+    other components and needs no lift.  Any other term that survives in
+    another component would need the same coefficient there, so a e_j lies
+    in A iff every such term survives in component j alone; those terms
+    are then its lift to T, and they must lie in the ideal.
     """
-    if fam.mode == CONGRUENCE:
-        return [] if p_in_ideal(a, fam.q) else [(j, "not in A") for j in range(fam.ell)]
     out = []
     for j in range(fam.ell):
-        part = fam.reduce_poly(j, a)
-        if any(fam.surviving(m) != [j] for m in part):
+        lift = [m for m in fam.reduce_poly(j, a) if not fam.q.contains(Monomial(m))]
+        if any(fam.surviving(m) != [j] for m in lift):
             out.append((j, "not in A"))
-        elif not p_in_ideal(part, ideal):
+        elif not p_in_ideal(lift, ideal):
             out.append((j, "witness escapes the ideal"))
     return out
 
 
 def conductor_is_irrelevant_primary(fam):
-    """Does the conductor cut out only the irrelevant maximal ideal?"""
-    cond = conductor(fam)
-    if fam.mode == CONGRUENCE:
-        total = cond
-    else:
-        total = cond + fam.defining_ideal()
+    """Does the conductor cut out only the irrelevant maximal ideal of A?"""
+    total = conductor(fam) + fam._meet()
     if total.is_unit():
         return True  # A = B, nothing to support
     primes = total.minimal_primes()
-    return len(primes) == 1 and primes[0].mask == fam.full_mask()
+    return len(primes) == 1 and primes[0].mask == (1 << fam.context.n) - 1
 
 
 class CokernelProfile:

@@ -65,96 +65,90 @@ def random_antichain(rng, n, ell):
     return None
 
 
+def _run_trials(seed, trials, trial, name, claim_id, description):
+    """Run trial(rng) until `trials` draws have decided, and report the failures.
+
+    trial returns None to redraw (the draw does not count as a trial), or
+    whether the trial passed.  The report lists the index of each failing
+    trial.
+    """
+    rng = random.Random(seed)
+    rep = VerificationReport(name, config={"seed": seed, "trials": trials})
+    failures = []
+    done = 0
+    while done < trials:
+        passed = trial(rng)
+        if passed is None:
+            continue
+        if not passed:
+            failures.append(done)
+        done += 1
+    expected = {"trials": trials, "failures": []}
+    rep.check(claim_id, description, expected, {"trials": trials, "failures": failures})
+    return rep
+
+
 def lemma_intersection_suite(seed=0, trials=DEFAULT_TRIALS):
     """cap_i (I_i + J_i) = sum_i J_i for J_i the deleted intersections."""
-    rng = random.Random(seed)
-    rep = VerificationReport("suite-deleted-intersections", config={"seed": seed, "trials": trials})
-    failures = []
-    for t in range(trials):
+
+    def trial(rng):
         n = rng.randint(2, 5)
         ell = rng.randint(2, 4)
         ctx = make_context(n)
         ideals = [random_monomial_ideal(rng, ctx) for _ in range(ell)]
-        js = [
-            intersect_all([ideals[j] for j in range(ell) if j != i])
-            for i in range(ell)
-        ]
-        lhs = intersect_all([ideals[i] + js[i] for i in range(ell)])
-        rhs = sum_all(js)
-        if lhs != rhs:
-            failures.append(t)
-    rep.check(
-        "identity.trials",
+        js = [intersect_all(ideals[:i] + ideals[i + 1 :]) for i in range(ell)]
+        return intersect_all([ideals[i] + js[i] for i in range(ell)]) == sum_all(js)
+
+    return _run_trials(
+        seed, trials, trial, "suite-deleted-intersections", "identity.trials",
         "cap (I_i + J_i) = sum J_i on every random family",
-        {"trials": trials, "failures": []},
-        {"trials": trials, "failures": failures},
     )
-    return rep
 
 
 def conductor_two_path_suite(seed=0, trials=DEFAULT_TRIALS):
     """The closed-form and direct conductor computations agree."""
-    rng = random.Random(seed)
-    rep = VerificationReport("suite-conductor-two-path", config={"seed": seed, "trials": trials})
-    failures = []
-    done = 0
-    while done < trials:
+
+    def trial(rng):
         n = rng.randint(3, 8)
         ell = rng.randint(2, 4)
         subsets = random_antichain(rng, n, ell)
         if subsets is None:
-            continue
-        ctx = make_context(n)
+            return None
         fam = PullbackFamily.from_supports(
-            ctx, [sorted(f"x{i+1}" for i in s) for s in subsets]
+            make_context(n), [sorted(f"x{i+1}" for i in s) for s in subsets]
         )
         try:
             conductor(fam)
         except MethodDisagreementError:
-            failures.append(done)
-        done += 1
-    rep.check(
-        "agreement.trials",
+            return False
+        return True
+
+    return _run_trials(
+        seed, trials, trial, "suite-conductor-two-path", "agreement.trials",
         "sum of J_i equals the degreewise direct conductor on every family",
-        {"trials": trials, "failures": []},
-        {"trials": trials, "failures": failures},
     )
-    return rep
 
 
 def auslander_buchsbaum_suite(seed=0, trials=DEFAULT_TRIALS, field=QQ):
     """depth + projective dimension = n, with depth from the link route."""
-    rng = random.Random(seed)
-    rep = VerificationReport("suite-auslander-buchsbaum", config={"seed": seed, "trials": trials})
-    failures = []
-    done = 0
-    while done < trials:
+
+    def trial(rng):
         n = rng.randint(3, 6)
-        ctx = make_context(n)
-        ideal = random_squarefree_ideal(rng, ctx)
+        ideal = random_squarefree_ideal(rng, make_context(n))
         if ideal is None:
-            continue
-        pd = projective_dimension(ideal, field)
-        dpt = depth_via_local_cohomology(ideal, field)
-        if dpt + pd != n:
-            failures.append(done)
-        done += 1
-    rep.check(
-        "ab.trials",
+            return None
+        return projective_dimension(ideal, field) + depth_via_local_cohomology(ideal, field) == n
+
+    return _run_trials(
+        seed, trials, trial, "suite-auslander-buchsbaum", "ab.trials",
         "depth + pd = n on every random squarefree quotient",
-        {"trials": trials, "failures": []},
-        {"trials": trials, "failures": failures},
     )
-    return rep
 
 
 def s2_oracle_suite(seed=0, trials=DEFAULT_TRIALS):
     """s2_membership agrees with the brute-force conductor-search oracle."""
-    rng = random.Random(seed)
-    rep = VerificationReport("suite-s2-oracle", config={"seed": seed, "trials": trials})
-    failures = []
-    done = 0
-    while done < trials:
+
+    def trial(rng):
         n = rng.randint(3, 5)
         ctx = make_context(n)
         if rng.random() < 0.25:
@@ -169,32 +163,28 @@ def s2_oracle_suite(seed=0, trials=DEFAULT_TRIALS):
             union = frozenset().union(*subsets)
             free = [i for i in range(n) if i not in union]
             if not free:
-                continue
+                return None
             primes = [
                 MonomialIdeal.from_support(ctx, sorted(f"x{i+1}" for i in s))
                 for s in subsets
             ]
             defining = intersect_all(primes)
             if defining.is_zero() or defining.is_unit():
-                continue
+                return None
         ring = QuotientRing(ctx, defining)
         a_exps = [0] * n
         for _ in range(rng.randint(1, 2)):
             a_exps[rng.choice(free)] += 1
         a = Monomial(a_exps)
         if not ring.is_nonzerodivisor(a):
-            continue
+            return None
         m = random_monomial(rng, n, 3, min_deg=0)
-        if s2_membership(ring, m, a) != s2_membership_oracle(ring, m, a):
-            failures.append(done)
-        done += 1
-    rep.check(
-        "oracle.trials",
+        return s2_membership(ring, m, a) == s2_membership_oracle(ring, m, a)
+
+    return _run_trials(
+        seed, trials, trial, "suite-s2-oracle", "oracle.trials",
         "fraction membership agrees with the conductor-search oracle",
-        {"trials": trials, "failures": []},
-        {"trials": trials, "failures": failures},
     )
-    return rep
 
 
 def run_all_suites(seed=0, trials=DEFAULT_TRIALS, field=QQ):

@@ -9,6 +9,7 @@ from ccalab.families import (
 )
 from ccalab.linalg import QQ
 from ccalab.monomial import MonomialIdeal, VarContext, intersect_all, make_context, sum_all
+from ccalab import pullback
 from ccalab.pullback import PullbackFamily
 from ccalab.suites import lemma_intersection_suite
 
@@ -60,6 +61,22 @@ def test_defining_ideal_has_the_components_as_minimal_primes():
     got = {frozenset(p.variable_names()) for p in defining.minimal_primes()}
     assert got == {frozenset(f"x{i}" for i in s) for s in OVERLAP}
     assert defining.associated_primes() == defining.minimal_primes()
+
+
+def test_primes_are_intersected_once_per_family(monkeypatch):
+    # defining_ideal and the irrelevant-primary test both read one cached cap P_i
+    fam = indexed(6, OVERLAP)
+    meets = []
+    real = pullback.intersect_all
+
+    def spy(ideals):
+        if ideals == [p.ideal() for p in fam.primes]:
+            meets.append(ideals)
+        return real(ideals)
+
+    monkeypatch.setattr(pullback, "intersect_all", spy)
+    assert f_family_report(fam, trace_powers=(1, 2)).passed()
+    assert len(meets) == 1
 
 
 def test_duplicate_subsets_rejected():

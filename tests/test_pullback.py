@@ -6,7 +6,7 @@ import pytest
 from ccalab.errors import InfiniteLengthError, MethodDisagreementError, PrecisionError
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import MonomialIdeal, MonomialPrime, VarContext, make_context
-from ccalab.polys import p_linear, p_mono, p_of_monomial
+from ccalab.polys import p_in_ideal, p_linear, p_mono, p_of_monomial
 from ccalab import pullback
 from ccalab.pullback import (
     CONGRUENCE,
@@ -339,6 +339,9 @@ def test_lift_route_and_missing_match_the_element_algebra():
         0,
     )
     generated = []
+    # congruence cases with a in q but outside the target: a e_j is in A and
+    # cut from the other component, so it needs no lift into the target
+    cut_without_lift = 0
     for fam in _random_families(rng) * 3:
         n = fam.context.n
         cond = conductor(fam)
@@ -355,6 +358,8 @@ def test_lift_route_and_missing_match_the_element_algebra():
             why = dict(got)
             for j in range(fam.ell):
                 outcomes[fam.mode, why.get(j)] += 1
+            if fam.mode == CONGRUENCE and p_in_ideal(a, fam.q) and not p_in_ideal(a, target):
+                cut_without_lift += 1
         sub = rng.choice(
             (
                 GradedSubmodule.from_ideal(fam, ideal),
@@ -374,6 +379,7 @@ def test_lift_route_and_missing_match_the_element_algebra():
         generated.append(not expected)
     # every outcome occurs, so neither route can pass by answering one way
     assert min(outcomes.values()) >= 10, outcomes
+    assert cut_without_lift >= 10, cut_without_lift
     assert generated.count(True) >= 10 and generated.count(False) >= 10
 
 
