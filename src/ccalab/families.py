@@ -296,22 +296,9 @@ class ArtinianQuotient:
         self.context = context
         self.ideal = ideal
 
-    def exponent_caps(self):
-        caps = []
-        limit = self.ideal.max_gen_degree() + 1
-        for i in range(self.context.n):
-            e = 1
-            while e <= limit and not self.ideal.contains(
-                Monomial.variable(self.context.n, i, e)
-            ):
-                e += 1
-            caps.append(e)
-        return caps
-
     def standard_monomials(self):
-        caps = self.exponent_caps()
         out = []
-        for exps in itertools.product(*(range(c) for c in caps)):
+        for exps in itertools.product(*(range(c) for c in self.ideal.pure_powers())):
             m = Monomial(exps)
             if not self.ideal.contains(m):
                 out.append(m)

@@ -266,6 +266,17 @@ class MonomialIdeal:
     def max_gen_degree(self):
         return max((g.degree() for g in self.gens), default=0)
 
+    def pure_powers(self):
+        """Per k, the least e with x_k^e in the ideal, or None: only 1 and x_k^j divide x_k^e."""
+        out = [None] * self.context.n
+        for g in self.gens:
+            support = [k for k, e in enumerate(g.exps) if e]
+            if not support:
+                return [0] * self.context.n
+            if len(support) == 1:
+                out[support[0]] = g.exps[support[0]]
+        return out
+
     def contains(self, m):
         """Monomial membership: some generator divides m."""
         return any(g.divides(m) for g in self.gens)

@@ -13,12 +13,16 @@ Everything is graded, and this layer solves every system exactly over Q.
 That is exact for monomial data in any characteristic: its subspaces are
 coordinate subspaces.  For linear forms the answer can depend on the
 characteristic: with F = {x4}, {x5} in five variables, x1+x2, x2+x3,
-x1+x3 are B-regular over Q but not over F_2.  Per-degree computations
-are independent of each other.
+x1+x3 are B-regular over Q but not over F_2.
+
+Monomial data is Z^n-graded: B_a has one coordinate x^a e_i per component
+i where x^a survives.  B/A is decided at finitely many exponent vectors a
+(see cokernel_profile), not in a window of degrees.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from operator import add
 
 from .errors import (
@@ -37,12 +41,11 @@ from .monomial import (
     monomials_of_degree,
     sum_all,
 )
-from .polys import p_degree, p_in_ideal, p_linear, p_of_monomial
+from .polys import p_degree, p_in_ideal, p_of_monomial
 
 INTERSECTION = "intersection"
 CONGRUENCE = "congruence"
 
-_MAX_COKERNEL_DEGREE = 64
 # the conductor's two paths are compared this far past its top generator degree
 _CONDUCTOR_PAD = 2
 
@@ -152,29 +155,24 @@ class PullbackFamily:
     def dim_B(self, d):
         return len(self.basis_B(d))
 
-    def dim_A(self, d):
-        return len(self.basis_A(d))
+    def a_basis(self, exps, comps):
+        """A basis of A at x^a, given the components where x^a survives.
+
+        Each element is a tuple of components: the sum of x^a e_i over them.
+        x^a in q lies in every P_i + P_j + q, so it splits into one x^a e_i
+        per component (alike when there is one); any other x^a needs one
+        coefficient wherever it survives.
+        """
+        if len(comps) > 1 and self.q.contains(Monomial(exps)):
+            return [(i,) for i in comps]
+        return [tuple(comps)] if comps else []
 
     def basis_A(self, d):
-        """A basis of A_d as (e, components) pairs, in the order of the monomials.
-
-        The pair stands for the sum of x^e e_i over its components.  x^e is
-        nonzero in A iff it survives in some component, so the monomials
-        and their components are read off the cached basis_B(d).  x^e in q
-        lies in every P_i + P_j + q, so it splits into one element x^e e_i
-        per component; any other x^e needs one coefficient wherever it
-        survives.
-        """
+        """A basis of A_d as (e, components) pairs, in the order of the monomials."""
         comps = {}
         for i, e in self.basis_B(d):
             comps.setdefault(e, []).append(i)
-        out = []
-        for e in sorted(comps):
-            if self.q.contains(Monomial(e)):
-                out.extend((e, (i,)) for i in comps[e])
-            else:
-                out.append((e, tuple(comps[e])))
-        return out
+        return [(e, c) for e in sorted(comps) for c in self.a_basis(e, comps[e])]
 
     def __repr__(self):
         if self.mode == CONGRUENCE:
@@ -217,6 +215,20 @@ def stable_subspace(fam, x_submodule, multipliers, d):
             raise ValueError("multipliers must be homogeneous and nonzero")
         blocks.append((mult_matrix(fam, g, d, e), x_submodule.piece(d + e)))
     return preimage(blocks, fam.dim_B(d), QQ)
+
+
+def _piece_at(fam, exps):
+    """B_a, as its index surviving component -> coordinate, and A_a inside it."""
+    comps = fam.surviving(exps)
+    index = {i: k for k, i in enumerate(comps)}
+    rows = [{index[i]: 1 for i in group} for group in fam.a_basis(exps, comps)]
+    return index, Subspace(QQ, len(index), rows)
+
+
+def _times(fam, index, exps, g):
+    """x^g: B_a -> B_{a+g} (x^a e_i to x^(a+g) e_i, or 0) as a preimage block into A_{a+g}."""
+    target, a_piece = _piece_at(fam, tuple(map(add, exps, g)))
+    return [{target[i]: 1} if i in target else {} for i in index], a_piece
 
 
 def conductor(fam):
@@ -289,13 +301,14 @@ def lift_failures(fam, a, ideal):
     return out
 
 
+def _support_powers(fam):
+    """The least e with x_k^e in cond + cap P_i, for each k; None if there is none."""
+    return (conductor(fam) + fam._meet()).pure_powers()
+
+
 def conductor_is_irrelevant_primary(fam):
     """Does the conductor cut out only the irrelevant maximal ideal of A?"""
-    total = conductor(fam) + fam._meet()
-    if total.is_unit():
-        return True  # A = B, nothing to support
-    primes = total.minimal_primes()
-    return len(primes) == 1 and primes[0].mask == (1 << fam.context.n) - 1
+    return None not in _support_powers(fam)
 
 
 class CokernelProfile:
@@ -313,49 +326,39 @@ class CokernelProfile:
 def cokernel_profile(fam):
     """Length, Hilbert function, and socle dimension of B/A.
 
-    Requires the conductor to be primary to the irrelevant maximal ideal
-    (otherwise B/A has infinite length).  A single vanishing degree
-    certifies stabilization because B is generated over A in degree 0;
-    the next degree is still checked at runtime.
+    B/A vanishes at every a with x^a in cond + cap P_i: B_a lies in A there,
+    or is 0.  Unless that ideal holds a pure power x_k^(p_k) of every
+    variable (the conductor is irrelevant-primary), B/A has infinite length
+    and this raises; otherwise x^a lies in it unless a < p, so B/A lives at
+    those points (none for the unit ideal, A = B).  At each one with B_a !=
+    A_a, S_a being the components where x^a survives: the Hilbert function
+    at |a| gains |S_a| - dim A_a; the socle gains dim {v in B_a : x_k v in
+    A_{a+e_k} for every k} - dim A_a; and the annihilator check asks
+    x^g B_a <= A_{a+g} for each conductor generator g.
     """
-    cond = conductor(fam)
-    if not conductor_is_irrelevant_primary(fam):
+    powers = _support_powers(fam)
+    if None in powers:
         raise InfiniteLengthError("conductor is not irrelevant-primary")
-    variables = [p_linear(fam.context.n, [j]) for j in range(fam.context.n)]
-    unit_A = GradedSubmodule.unit_A(fam)
-    hilbert = []
-    socle_total = 0
-    d = 0
-    while True:
-        codim = fam.dim_B(d) - fam.dim_A(d)
-        if codim == 0 and d > 0:
-            nxt = fam.dim_B(d + 1) - fam.dim_A(d + 1)
-            if nxt != 0:
-                raise MethodDisagreementError(
-                    "cokernel failed to stabilize after a zero degree"
-                )
-            break
-        hilbert.append(codim)
-        if codim:
-            w = stable_subspace(fam, unit_A, variables, d)
-            socle_total += w.dim - fam.dim_A(d)
-        d += 1
-        if d > _MAX_COKERNEL_DEGREE:
-            raise InfiniteLengthError("cokernel did not stabilize in bounded degree")
-    while hilbert and hilbert[-1] == 0:
-        hilbert.pop()
-    # the conductor annihilates B/A by definition; check that every
-    # generator maps B_d into A wherever the cokernel is nonzero
-    cond_polys = [p_of_monomial(g) for g in cond.gens]
-    ann_ok = all(
-        stable_subspace(fam, unit_A, cond_polys, d).dim == fam.dim_B(d)
-        for d, codim in enumerate(hilbert)
-        if codim
-    )
+    n = fam.context.n
+    cond_gens = [g.exps for g in conductor(fam).gens]
+    variables = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    hilbert = {}
+    socle_dim = 0
+    ann_ok = True
+    for a in product(*(range(p) for p in powers)):
+        index, a_piece = _piece_at(fam, a)
+        codim = len(index) - a_piece.dim
+        if not codim:
+            continue
+        hilbert[sum(a)] = hilbert.get(sum(a), 0) + codim
+        socle = preimage([_times(fam, index, a, x) for x in variables], len(index), QQ)
+        socle_dim += socle.dim - a_piece.dim
+        killed = preimage([_times(fam, index, a, g) for g in cond_gens], len(index), QQ)
+        ann_ok = ann_ok and killed.dim == len(index)
     return CokernelProfile(
-        length=sum(hilbert),
-        hilbert=tuple(hilbert),
-        socle_dim=socle_total,
+        length=sum(hilbert.values()),
+        hilbert=tuple(hilbert.get(d, 0) for d in range(max(hilbert, default=-1) + 1)),
+        socle_dim=socle_dim,
         annihilator_ok=ann_ok,
     )
 
@@ -391,12 +394,8 @@ class GradedSubmodule:
 
     @classmethod
     def unit_A(cls, fam):
-        """A itself, generated by 1: one per family, kept in the family's cache."""
-        got = fam._basis_cache.get("unit_A")
-        if got is None:
-            one = _diagonal(fam, p_of_monomial(Monomial.one(fam.context.n)))
-            got = fam._basis_cache["unit_A"] = cls(fam, [one])
-        return got
+        """A itself, generated by 1."""
+        return cls(fam, [_diagonal(fam, p_of_monomial(Monomial.one(fam.context.n)))])
 
     @classmethod
     def multiples(cls, fam, polys):

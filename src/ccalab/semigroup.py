@@ -301,7 +301,8 @@ def _quad_mul_t(model, vec):
 def _quad_mul_alpha(model, vec):
     """alpha * (a + b alpha) = b*u + (a + b*v) alpha, at each t^j."""
     f = model.base
-    u, v = f.of(model.u), f.of(model.v)
+    # over Q an integral u or v stays an int, as linalg keeps integral entries
+    u, v = (x if not f.p and isinstance(x, int) else f.of(x) for x in (model.u, model.v))
     out = {}
     for j in {k // 2 for k in vec}:
         a, b = vec.get(2 * j, 0), vec.get(2 * j + 1, 0)

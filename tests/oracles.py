@@ -16,7 +16,9 @@ coefficient-matching membership test) and its lift route
 (`lift_failures_by_belement`) as the reference for the support test,
 the engine's original per-mode constructions of the pullback layer, its
 original element-by-element membership tests for the conductor and its
-annihilation of B/A, its original two-colon endomorphism-ring
+annihilation of B/A, its original irrelevant-primary test and total-degree
+sweep for B/A (the references for the capped multidegrees), its original
+pure-power probe, its original two-colon endomorphism-ring
 comparison for the trace check, and its original degree sweep for
 B-regular sequences; for the truncated-series layer, the engine's
 original symmetry test (the pairing s -> F - s and the genus count) as
@@ -30,8 +32,15 @@ from itertools import combinations
 from ccalab.complexes import BettiTable, boundary_matrix, complex_of
 from ccalab.linalg import QQ, Subspace, rank
 from ccalab.monomial import Monomial, MonomialIdeal, intersect_all, monomials_of_degree
-from ccalab.polys import p_degree, p_in_ideal
-from ccalab.pullback import CONGRUENCE, GradedSubmodule, colon_in_B, stable_subspace
+from ccalab.polys import p_degree, p_in_ideal, p_linear, p_of_monomial
+from ccalab.pullback import (
+    CONGRUENCE,
+    CokernelProfile,
+    GradedSubmodule,
+    colon_in_B,
+    conductor,
+    stable_subspace,
+)
 from ccalab.s2 import trace_ideal_check
 
 
@@ -502,6 +511,67 @@ def direct_conductor_by_membership(fam, d):
         if all(b.component(i).in_A()[0] for i in range(fam.ell)):
             direct.insert(b.vector(d))
     return direct
+
+
+def irrelevant_primary_by_minimal_primes(fam):
+    """The engine's original test: cond + cap P_i is the unit or has the one minimal prime m."""
+    total = conductor(fam) + intersect_all([p.ideal() for p in fam.primes])
+    if total.is_unit():
+        return True
+    primes = total.minimal_primes()
+    return len(primes) == 1 and primes[0].mask == (1 << fam.context.n) - 1
+
+
+# the original sweep gave up past this degree
+_MAX_COKERNEL_DEGREE = 64
+
+
+def cokernel_profile_by_degree_sweep(fam):
+    """The engine's original B/A sweep, one total degree at a time.
+
+    The caller checks that B/A has finite length.  The sweep stops at the
+    first zero degree past 0, since B is generated over A in degree 0, and
+    asserts that the next degree is zero too.  The socle and the
+    annihilation by the conductor are solved over all of B_d.
+    """
+    n = fam.context.n
+    variables = [p_linear(n, [j]) for j in range(n)]
+    unit_A = GradedSubmodule.unit_A(fam)
+    hilbert = []
+    socle_total = 0
+    for d in range(_MAX_COKERNEL_DEGREE + 1):
+        codim = fam.dim_B(d) - len(fam.basis_A(d))
+        if codim == 0 and d > 0:
+            assert fam.dim_B(d + 1) == len(fam.basis_A(d + 1)), "B/A did not stabilize"
+            break
+        hilbert.append(codim)
+        if codim:
+            w = stable_subspace(fam, unit_A, variables, d)
+            socle_total += w.dim - len(fam.basis_A(d))
+    else:
+        raise AssertionError("B/A did not stabilize in bounded degree")
+    while hilbert and hilbert[-1] == 0:
+        hilbert.pop()
+    cond_polys = [p_of_monomial(g) for g in conductor(fam).gens]
+    ann_ok = all(
+        stable_subspace(fam, unit_A, cond_polys, d).dim == fam.dim_B(d)
+        for d, codim in enumerate(hilbert)
+        if codim
+    )
+    return CokernelProfile(sum(hilbert), tuple(hilbert), socle_total, ann_ok)
+
+
+def pure_powers_by_probing(ideal):
+    """The engine's original probe: the least e <= max generator degree with x_k^e in the ideal.
+
+    Past that degree no new generator can appear, so the probe gives None there.
+    """
+    n = ideal.context.n
+    limit = ideal.max_gen_degree()
+    return [
+        next((e for e in range(limit + 1) if ideal.contains(Monomial.variable(n, k, e))), None)
+        for k in range(n)
+    ]
 
 
 def annihilates_by_products(fam, ideal, d):

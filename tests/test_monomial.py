@@ -12,11 +12,13 @@ from ccalab.monomial import (
     make_context,
     quotient_height,
 )
+from ccalab.suites import random_monomial_ideal
 
 from oracles import (
     intersection_by_membership,
     irredundant_by_intersections,
     minimal_primes_by_enumeration,
+    pure_powers_by_probing,
     same_members_up_to,
     unmixed_part_by_primary_components,
 )
@@ -270,6 +272,22 @@ def test_rules_off_the_generators_match_the_original_routes(monkeypatch):
 
 
 # -- polarization --------------------------------------------------------------
+
+
+def test_pure_powers_match_the_probe():
+    rng = random.Random(37)
+    missing = found = 0
+    fixed = [ideal(CTX2, "x^2", "x*y"), ideal(CTX2, "x^3", "y^2", "x*y"), MonomialIdeal.unit(CTX2)]
+    drawn = [random_monomial_ideal(rng, make_context(rng.randint(1, 4))) for _ in range(200)]
+    for i in fixed + drawn:
+        got = i.pure_powers()
+        assert got == pure_powers_by_probing(i), i
+        missing += got.count(None)
+        found += len(got) - got.count(None)
+    # (x^2, xy) is not Artinian: y has no pure power
+    assert fixed[0].pure_powers() == [2, None]
+    assert fixed[2].pure_powers() == [0, 0]
+    assert missing >= 50 and found >= 50, (missing, found)
 
 
 def test_polarize_fixed_point_and_single_split():

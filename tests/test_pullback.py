@@ -11,6 +11,7 @@ from ccalab import pullback
 from ccalab.pullback import (
     CONGRUENCE,
     INTERSECTION,
+    CokernelProfile,
     GradedSubmodule,
     PullbackFamily,
     cokernel_profile,
@@ -128,7 +129,7 @@ def test_conductor_is_computed_once_per_family(monkeypatch):
     fam = PullbackFamily.from_supports(CTX4, [["X", "Y"], ["Z", "W"]])
     first = conductor(fam)
     # a corrupted direct path disagrees on a new family; the checked result is reused
-    monkeypatch.setattr(PullbackFamily, "basis_A", lambda self, d: [])
+    monkeypatch.setattr(PullbackFamily, "a_basis", lambda self, exps, comps: [])
     with pytest.raises(MethodDisagreementError):
         conductor(PullbackFamily.from_supports(fam.context, [["X", "Y"], ["Z", "W"]]))
     assert conductor(fam) is first
@@ -383,9 +384,14 @@ def test_lift_route_and_missing_match_the_element_algebra():
     assert generated.count(True) >= 10 and generated.count(False) >= 10
 
 
-def test_conductor_annihilates_cokernel(overlap6):
+def test_conductor_annihilates_cokernel(overlap6, fiber_x1sq):
     # a (B/A) = 0 for every conductor generator: checked inside the profile
     assert cokernel_profile(overlap6).annihilator_ok
+    # the check can fail: with (X1, X2) cached in place of q = (X1^2, X2),
+    # X1 (1, 0) = (X1, 0) lies outside A
+    ctx = fiber_x1sq.context
+    fiber_x1sq._basis_cache["conductor"] = MonomialIdeal.from_strings(ctx, ["X1", "X2"])
+    assert not cokernel_profile(fiber_x1sq).annihilator_ok
 
 
 def test_stabilization_runtime_check(two_planes, overlap6, fiber_x1sq):
@@ -431,7 +437,7 @@ def test_merged_paths_match_reference_oracles():
         inner = inner.intersect(cond)
         for d in range(cond.max_gen_degree() + 3):
             ref = oracles.basis_A_by_defining_ideal(fam, d)
-            assert fam.dim_A(d) == len(ref)
+            assert len(fam.basis_A(d)) == len(ref)
             assert GradedSubmodule.unit_A(fam).piece(d) == _span(fam, ref, d)
             for formula in (cond, inner):
                 closed = oracles.closed_conductor_by_mode(fam, formula, d)
@@ -524,22 +530,64 @@ def test_piece_inserts_each_product_once(monkeypatch):
         assert 0 < len(calls) <= len(monomials)
 
 
-def test_unit_A_builds_each_piece_once(monkeypatch, two_planes, overlap6, fiber_x1sq):
-    # conductor and cokernel_profile share the family's one A-piece submodule,
-    # so no (family, degree) piece of A is solved twice in a pass
-    built = []
-    piece = GradedSubmodule.piece
+def test_cokernel_profile_reads_no_degree_pieces(monkeypatch, two_planes, overlap6, fiber_x1sq):
+    # cokernel_profile works at single multidegrees: past the conductor, which
+    # it reads from the family's cache, it never builds a basis of B_d or a
+    # piece of a submodule
+    def refuse(*args):
+        raise AssertionError("a total-degree piece was built")
 
-    def recording(self, d):
-        if d not in self._pieces:
-            built.append((repr(self.gens), d))
-        return piece(self, d)
-
-    monkeypatch.setattr(GradedSubmodule, "piece", recording)
     for fam in (overlap6, fiber_x1sq, two_planes):
-        built.clear()
+        conductor(fam)
+    monkeypatch.setattr(PullbackFamily, "basis_B", refuse)
+    monkeypatch.setattr(GradedSubmodule, "piece", refuse)
+    for fam in (overlap6, fiber_x1sq, two_planes):
         cokernel_profile(fam)
-        one = repr(GradedSubmodule.unit_A(fam).gens)
-        degrees = [d for gens, d in built if gens == one]
-        assert degrees and len(degrees) == len(set(degrees))
-        assert GradedSubmodule.unit_A(fam) is GradedSubmodule.unit_A(fam)
+
+
+def _cokernel_families(rng, count):
+    """Intersection families, congruences on random q, and congruences on Artinian q."""
+    fams = []
+    while len(fams) < count:
+        kind = len(fams) % 3
+        if kind == 0:
+            n = rng.randint(3, 5)
+            subsets = random_antichain(rng, n, rng.randint(2, 3))
+            if subsets is not None:
+                fams.append(
+                    PullbackFamily.from_supports(
+                        make_context(n), [sorted(f"x{i+1}" for i in s) for s in subsets]
+                    )
+                )
+            continue
+        ctx = make_context(rng.randint(2, 3))
+        q = random_monomial_ideal(rng, ctx, max_gens=3, max_deg=3)
+        if kind == 2:
+            pure = [[rng.randint(1, 3) * (j == k) for j in range(ctx.n)] for k in range(ctx.n)]
+            q = q + MonomialIdeal.from_exponents(ctx, pure)
+        if q.is_proper():
+            fams.append(PullbackFamily.congruence(q))
+    return fams
+
+
+def test_cokernel_profile_matches_degree_sweep():
+    rng = random.Random(31)
+    finite = socle_two = not_squarefree = 0
+    for fam in _cokernel_families(rng, 300):
+        is_finite = oracles.irrelevant_primary_by_minimal_primes(fam)
+        assert conductor_is_irrelevant_primary(fam) == is_finite
+        if not is_finite:
+            with pytest.raises(InfiniteLengthError):
+                cokernel_profile(fam)
+            continue
+        got = cokernel_profile(fam)
+        ref = oracles.cokernel_profile_by_degree_sweep(fam)
+        for field in CokernelProfile.__slots__:
+            assert getattr(got, field) == getattr(ref, field), (fam, field)
+        finite += 1
+        socle_two += got.socle_dim >= 2
+        not_squarefree += not fam.q.is_squarefree()
+    # enough finite cases, socles of dimension 2 and non-squarefree q that
+    # the comparison cannot pass vacuously
+    counts = (finite, socle_two, not_squarefree)
+    assert finite >= 100 and socle_two >= 10 and not_squarefree >= 10, counts

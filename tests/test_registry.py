@@ -102,11 +102,11 @@ def test_report_json_shape():
 
 
 def test_method_disagreement_is_surfaced(monkeypatch):
-    # corrupt the A-basis the direct path solves against: the conductor's two
+    # corrupt the A-rule the direct path solves against: the conductor's two
     # routes must then disagree, and the error surfaces instead of being swallowed
     ctx_fam = PullbackFamily.from_supports(
         VarContext(("X", "Y", "Z", "W")), [["X", "Y"], ["Z", "W"]]
     )
-    monkeypatch.setattr(PullbackFamily, "basis_A", lambda self, d: [])
+    monkeypatch.setattr(PullbackFamily, "a_basis", lambda self, exps, comps: [])
     with pytest.raises(MethodDisagreementError, match="degree 1: direct dim 0, closed dim 4"):
         conductor(ctx_fam)

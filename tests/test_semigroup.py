@@ -9,6 +9,7 @@ from ccalab.errors import PrecisionError
 from ccalab.linalg import GF, QQ, Subspace
 from ccalab.semigroup import (
     NumericalSemigroup,
+    _quad_mul_alpha,
     QuadraticExtensionModel,
     cone_model_checks,
     parse_t_series,
@@ -231,6 +232,20 @@ def test_quadratic_closure_is_k0_plus_tV():
             model = QuadraticExtensionModel(base, u=u, v=v, precision=n)
             units = [{0: 1}] + [{2 * j + part: 1} for j in range(1, n) for part in (0, 1)]
             assert quadratic_extension_closure(model) == Subspace(base, 2 * n, units)
+
+
+def test_alpha_image_of_an_int_vector_over_q_stays_int():
+    # alpha (a + b alpha) = b u + (a + b v) alpha; with integral u and v an int
+    # vector maps to an int vector over Q, and to residues mod p over F_p
+    vec = {0: 2, 1: 3, 4: -1, 7: 5}
+    for base, u, v, want in (
+        (QQ, -2, 1, {0: -6, 1: 5, 5: -1, 6: -10, 7: 5}),
+        (GF(3), 1, 1, {1: 2, 5: 2, 6: 2, 7: 2}),
+    ):
+        model = QuadraticExtensionModel(base, u=u, v=v, precision=8)
+        got = _quad_mul_alpha(model, vec)
+        assert got == want
+        assert all(type(x) is int for x in got.values()), got
 
 
 def test_quadratic_extension_rational_i():
