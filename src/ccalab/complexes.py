@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import NotSquarefreeError, UnitIdealError, VoidComplexError
 from .linalg import rank
-from .monomial import Monomial, MonomialIdeal, VarContext, make_context
+from .monomial import make_context
 
 MAX_VERTICES = 16
 
@@ -67,18 +67,6 @@ class SimplicialComplex:
 
     def __setattr__(self, *a):
         raise AttributeError("SimplicialComplex is immutable")
-
-    @classmethod
-    def void(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
-    def irrelevant(cls, ctx):
-        return cls(ctx, (0,))
-
-    @classmethod
-    def from_vertex_sets(cls, ctx, facets):
-        return cls(ctx, [ctx.mask_of(f) for f in facets])
 
     def is_void(self):
         return not self.facets
@@ -127,25 +115,6 @@ class SimplicialComplex:
         return SimplicialComplex(
             self.context,
             [f & ~face_mask for f in self.facets if f & face_mask == face_mask],
-        )
-
-    def cone(self, apex_name):
-        ctx = VarContext(self.context.names + (apex_name,))
-        apex = 1 << self.context.n
-        if self.is_void():
-            return SimplicialComplex(ctx, (apex,))
-        return SimplicialComplex(ctx, [f | apex for f in self.facets])
-
-    def nonface_ideal(self):
-        """Squarefree ideal of minimal non-faces (round trip of complex_of)."""
-        n = self.context.n
-        return MonomialIdeal(
-            self.context,
-            [
-                Monomial(tuple((m >> i) & 1 for i in range(n)))
-                for m in range(1 << n)
-                if not self.has_face(m)
-            ],
         )
 
     def __eq__(self, other):
@@ -268,9 +237,6 @@ class BettiTable:
 
     def __setattr__(self, *a):
         raise AttributeError("BettiTable is immutable")
-
-    def total(self, i):
-        return sum(v for (j, _), v in self.entries.items() if j == i)
 
     def max_index(self):
         """Largest homological index with a nonzero entry; -1 if empty."""

@@ -49,7 +49,7 @@ def f_family_report(
 ):
     """Verify every computable claim about A = T/(cap (F_i)) and B = (+) T/(F_i).
 
-    fam: an intersection-mode PullbackFamily with at least two components.
+    fam: an intersection family (q = 0) with at least two components.
     parameters: optional linear forms (lists of variable names) expected
     to generate the conductor over B.  trace_powers: exponents l >= 1 for
     which the trace test runs on (max ideal)^l.

@@ -59,9 +59,6 @@ class FieldSpec:
             return int(x) % self.p
         return x if isinstance(x, Fraction) else Fraction(x)
 
-    def zero(self):
-        return 0 if self.p else Fraction(0)
-
     def one(self):
         return 1 if self.p else Fraction(1)
 

@@ -10,7 +10,7 @@ Membership and containment use exponent arithmetic only (lcm and
 divisibility); there are no term orders or division algorithms here.
 
 >>> ctx = VarContext(("x", "y", "z"))
->>> I = MonomialIdeal.from_exponents(ctx, [[1, 1, 0], [1, 0, 1]])   # (xy, xz)
+>>> I = MonomialIdeal(ctx, [(1, 1, 0), (1, 0, 1)])   # (xy, xz)
 >>> [p.variable_names() for p in I.minimal_primes()]
 [('x',), ('y', 'z')]
 """
@@ -237,10 +237,6 @@ class MonomialIdeal:
         return cls(ctx, (Monomial.one(ctx.n),))
 
     @classmethod
-    def from_exponents(cls, ctx, rows):
-        return cls(ctx, [Monomial(r) for r in rows])
-
-    @classmethod
     def from_strings(cls, ctx, texts):
         return cls(ctx, [parse_monomial(ctx, t) for t in texts])
 
@@ -256,9 +252,6 @@ class MonomialIdeal:
 
     def is_unit(self):
         return len(self.gens) == 1 and self.gens[0].is_one()
-
-    def is_proper(self):
-        return not self.is_unit()
 
     def is_squarefree(self):
         return all(g.is_squarefree() for g in self.gens)

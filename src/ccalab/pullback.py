@@ -43,9 +43,6 @@ from .monomial import (
 )
 from .polys import p_degree, p_in_ideal, p_of_monomial
 
-INTERSECTION = "intersection"
-CONGRUENCE = "congruence"
-
 # the conductor's two paths are compared this far past its top generator degree
 _CONDUCTOR_PAD = 2
 
@@ -54,61 +51,54 @@ class PullbackFamily:
     """The pullback A of primes P_i and q inside (+) T/P_i (see the module docstring)."""
 
     # _free[i]: the variables that are nonzero in component i
-    __slots__ = ("context", "mode", "primes", "q", "_free", "_basis_cache")
+    __slots__ = ("context", "primes", "q", "_free", "_basis_cache")
 
-    def __init__(self, context, mode, primes=None, q=None):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_basis_cache", {})
-        if mode == INTERSECTION:
-            primes = tuple(primes)
+    def __init__(self, context, primes, q):
+        primes = tuple(primes)
+        if q.context != context or any(p.context != context for p in primes):
+            raise ContextMismatchError("prime or q in wrong context")
+        if q.is_zero():
             # l = 1 is admitted as the degenerate A = B case
-            if len(primes) < 1:
+            if not primes:
                 raise ValueError("need at least one component")
-            for a in primes:
-                if a.context != context:
-                    raise ContextMismatchError("prime in wrong context")
-                if a.mask == 0:
-                    raise ValueError("components must be nonzero primes")
+            if any(p.mask == 0 for p in primes):
+                raise ValueError("components must be nonzero primes")
             for j, a in enumerate(primes):
                 for k, b in enumerate(primes):
                     if j != k and a.mask & b.mask == a.mask:
                         raise ValueError("component supports must form an antichain")
-            q = MonomialIdeal.zero(context)
-        elif mode == CONGRUENCE:
-            if q is None or q.is_unit():
-                raise ValueError("congruence mode needs a proper monomial ideal")
-            if q.context != context:
-                raise ContextMismatchError("q in wrong context")
-            primes = (MonomialPrime(context, 0),) * 2
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        elif q.is_unit():
+            raise ValueError("a congruence needs a proper monomial ideal")
+        elif [p.mask for p in primes] != [0, 0]:
+            raise ValueError("a congruence needs exactly two zero primes")
         full = (1 << context.n) - 1
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_free", tuple(full & ~p.mask for p in primes))
+        object.__setattr__(self, "_basis_cache", {})
 
     def __setattr__(self, *a):
         raise AttributeError("PullbackFamily is immutable")
 
     @classmethod
     def from_supports(cls, ctx, supports):
-        """Intersection mode from variable-name subsets F_1..F_l."""
-        primes = tuple(MonomialPrime(ctx, ctx.mask_of(f)) for f in supports)
-        return cls(ctx, INTERSECTION, primes=primes)
+        """The intersection of the primes on variable-name subsets F_1..F_l."""
+        primes = [MonomialPrime(ctx, ctx.mask_of(f)) for f in supports]
+        return cls(ctx, primes, MonomialIdeal.zero(ctx))
 
     @classmethod
     def congruence(cls, q):
-        return cls(q.context, CONGRUENCE, q=q)
+        return cls(q.context, [MonomialPrime(q.context, 0)] * 2, q)
 
     @property
     def ell(self):
         return len(self.primes)
 
     def defining_ideal(self):
-        """cap P_i in intersection mode (the ideal presenting A)."""
-        if self.mode != INTERSECTION:
-            raise ValueError("no monomial presentation in congruence mode")
+        """cap P_i for an intersection, q = 0 (the ideal presenting A)."""
+        if not self.q.is_zero():
+            raise ValueError("no monomial presentation for a congruence")
         return self._meet()
 
     def _meet(self):
@@ -152,9 +142,6 @@ class PullbackFamily:
             got = self._basis_cache[key] = {pair: k for k, pair in enumerate(self.basis_B(d))}
         return got
 
-    def dim_B(self, d):
-        return len(self.basis_B(d))
-
     def a_basis(self, exps, comps):
         """A basis of A at x^a, given the components where x^a survives.
 
@@ -175,7 +162,7 @@ class PullbackFamily:
         return [(e, c) for e in sorted(comps) for c in self.a_basis(e, comps[e])]
 
     def __repr__(self):
-        if self.mode == CONGRUENCE:
+        if not self.q.is_zero():
             return f"PullbackFamily(congruence, q={self.q!r})"
         supp = ", ".join(repr(p) for p in self.primes)
         return f"PullbackFamily({supp})"
@@ -214,7 +201,7 @@ def stable_subspace(fam, x_submodule, multipliers, d):
         if e is None:
             raise ValueError("multipliers must be homogeneous and nonzero")
         blocks.append((mult_matrix(fam, g, d, e), x_submodule.piece(d + e)))
-    return preimage(blocks, fam.dim_B(d), QQ)
+    return preimage(blocks, len(fam.basis_B(d)), QQ)
 
 
 def _piece_at(fam, exps):
@@ -251,7 +238,7 @@ def conductor(fam):
     else:
         cuts = [p.ideal() + fam.q for p in fam.primes]
         formula = sum_all([intersect_all(cuts[:i] + cuts[i + 1 :]) for i in range(fam.ell)])
-    unit_A = GradedSubmodule.unit_A(fam)
+    unit_A = GradedSubmodule.from_ideal(fam, MonomialIdeal.unit(fam.context))
     for d in range(formula.max_gen_degree() + _CONDUCTOR_PAD + 1):
         basis = fam.basis_B(d)
         projections = [
@@ -274,7 +261,7 @@ def monomial_span(fam, ideal, d):
 
     The coordinate subspace of the x^e e_i in basis_B(d) with x^e in the ideal.
     """
-    span = Subspace(QQ, fam.dim_B(d))
+    span = Subspace(QQ, len(fam.basis_B(d)))
     for k, (_, e) in enumerate(fam.basis_B(d)):
         if ideal.contains(Monomial(e)):
             span.insert({k: 1})
@@ -393,11 +380,6 @@ class GradedSubmodule:
         return cls(fam, [_diagonal(fam, p_of_monomial(g)) for g in ideal.gens])
 
     @classmethod
-    def unit_A(cls, fam):
-        """A itself, generated by 1."""
-        return cls(fam, [_diagonal(fam, p_of_monomial(Monomial.one(fam.context.n)))])
-
-    @classmethod
     def multiples(cls, fam, polys):
         """sum a B over the T-polynomials a, generated over A by the a e_i."""
         return cls(
@@ -466,11 +448,6 @@ class ColonResult:
 
     def piece(self, d):
         return self.pieces[d]
-
-    def equals_all_of_B(self, fam):
-        return all(
-            space.dim == fam.dim_B(d) for d, space in self.pieces.items()
-        )
 
 
 def colon_in_B(fam, x_submodule, ideal, bound=None):

@@ -65,9 +65,6 @@ class VerificationReport:
         """True when no claim failed (informational entries never fail)."""
         return all(c.passed is not False for c in self.claims)
 
-    def failures(self):
-        return [c for c in self.claims if c.passed is False]
-
     def to_json(self):
         return {
             "schema_version": SCHEMA_VERSION,

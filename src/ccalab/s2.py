@@ -39,10 +39,6 @@ class QuotientRing:
         self.context = context
         self.defining = defining
 
-    @classmethod
-    def ambient(cls, ctx):
-        return cls(ctx, MonomialIdeal.zero(ctx))
-
     def associated_primes(self):
         if self.defining.is_zero():
             return []
@@ -82,7 +78,7 @@ _ORACLE_DEGREE_CAP = 4
 
 
 def s2_membership_oracle(ring, m, a):
-    """Brute-force oracle for s2_membership (test-only device).
+    """Brute-force oracle for s2_membership, the reference of `suite-s2-oracle`.
 
     Enumerates all monomials j with deg j <= _ORACLE_DEGREE_CAP such that
     j*m lies in (a) + defining, and asks whether the ideal they generate

@@ -48,7 +48,7 @@ def random_squarefree_ideal(rng, ctx, max_gens=4):
         supp = rng.sample(range(ctx.n), size)
         gens.append(Monomial(tuple(1 if i in supp else 0 for i in range(ctx.n))))
     ideal = MonomialIdeal(ctx, gens)
-    return ideal if ideal.is_proper() and not ideal.is_zero() else None
+    return ideal if not ideal.is_unit() and not ideal.is_zero() else None
 
 
 def random_antichain(rng, n, ell):

@@ -2,9 +2,10 @@
 
 These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
-complexes, reduced homology from the boundary matrices of the complex
-itself (the engine's original route, the reference for its cone and nerve
-shortcuts), a Betti sweep that computes every subset's restriction afresh
+complexes and for their non-face ideals (the reference for the round trip
+through complex_of), reduced homology from the boundary matrices of the
+complex itself (the engine's original route, the reference for its cone
+and nerve shortcuts), a Betti sweep that computes every subset's restriction afresh
 by that route, exhaustive prime enumeration for minimal primes, the
 engine's original unmixed part (primary components grouped from the
 irreducible ones) and irredundance loop (each component against the
@@ -34,7 +35,6 @@ from ccalab.linalg import QQ, Subspace, rank
 from ccalab.monomial import Monomial, MonomialIdeal, intersect_all, monomials_of_degree
 from ccalab.polys import p_degree, p_in_ideal, p_linear, p_of_monomial
 from ccalab.pullback import (
-    CONGRUENCE,
     CokernelProfile,
     GradedSubmodule,
     colon_in_B,
@@ -130,6 +130,15 @@ def faces_by_membership(ideal):
         if not ideal.contains(mono):
             faces.append(mask)
     return sorted(faces)
+
+
+def nonface_ideal(cplx):
+    """The squarefree ideal of the non-faces of a complex, by 2^n enumeration."""
+    n = cplx.context.n
+    return MonomialIdeal(
+        cplx.context,
+        [tuple((m >> k) & 1 for k in range(n)) for m in range(1 << n) if not cplx.has_face(m)],
+    )
 
 
 def homology_by_boundary_matrices(cplx, field):
@@ -332,7 +341,7 @@ def dense_nullspace(rows, ncols, field):
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for c in free:
-        v = [f.zero()] * ncols
+        v = [f.of(0)] * ncols
         v[c] = f.one()
         for i, pc in enumerate(pivots):
             v[pc] = f.neg(m[i][c])
@@ -391,7 +400,7 @@ class BElement:
         difference of the two coordinates lies in q (witness None).
         """
         fam = self.family
-        if fam.mode == CONGRUENCE:
+        if not fam.q.is_zero():
             first, second = self.parts
             diff = dict(first)
             for m, c in second.items():
@@ -428,7 +437,7 @@ def lift_failures_by_belement(fam, a, ideal):
 def basis_A_by_defining_ideal(fam, d):
     """A_d by membership in q (congruence) or in the defining ideal."""
     out = []
-    if fam.mode == CONGRUENCE:
+    if not fam.q.is_zero():
         for e in monomials_of_degree(fam.context.n, d):
             p = {e: Fraction(1)}
             if fam.q.contains(Monomial(e)):
@@ -465,7 +474,7 @@ def piece_by_belement_products(sub, d):
     reduced per component, and inserted through its vector.
     """
     fam = sub.family
-    space = Subspace(QQ, fam.dim_B(d))
+    space = Subspace(QQ, len(fam.basis_B(d)))
     for e, parts in sub.gens:
         if e <= d:
             g = BElement(fam, parts)
@@ -476,7 +485,7 @@ def piece_by_belement_products(sub, d):
 
 def multiples_by_B_basis(fam, elements, e):
     """The degree-e piece of sum a B: a times every basis element of B."""
-    span = Subspace(QQ, fam.dim_B(e))
+    span = Subspace(QQ, len(fam.basis_B(e)))
     for a in elements:
         da = p_degree(a)
         if da <= e:
@@ -487,12 +496,12 @@ def multiples_by_B_basis(fam, elements, e):
 
 def closed_conductor_by_mode(fam, formula, d):
     """Degree-d closed conductor: (x^e, 0) and (0, x^e) for x^e in q, or x^e."""
-    closed = Subspace(QQ, fam.dim_B(d))
+    closed = Subspace(QQ, len(fam.basis_B(d)))
     for e in monomials_of_degree(fam.context.n, d):
         if not formula.contains(Monomial(e)):
             continue
         p = {e: Fraction(1)}
-        if fam.mode == CONGRUENCE:
+        if not fam.q.is_zero():
             closed.insert(BElement(fam, (p, {})).vector(d))
             closed.insert(BElement(fam, ({}, p)).vector(d))
         else:
@@ -504,7 +513,7 @@ def closed_conductor_by_mode(fam, formula, d):
 
 def direct_conductor_by_membership(fam, d):
     """Degree-d direct conductor: the A-basis elements b with every b e_i in A."""
-    direct = Subspace(QQ, fam.dim_B(d))
+    direct = Subspace(QQ, len(fam.basis_B(d)))
     for b in basis_A_by_defining_ideal(fam, d):
         # the e_i-stability conditions are coordinate-local in this basis,
         # so testing basis vectors computes the exact subspace
@@ -536,13 +545,13 @@ def cokernel_profile_by_degree_sweep(fam):
     """
     n = fam.context.n
     variables = [p_linear(n, [j]) for j in range(n)]
-    unit_A = GradedSubmodule.unit_A(fam)
+    unit_A = GradedSubmodule.from_ideal(fam, MonomialIdeal.unit(fam.context))
     hilbert = []
     socle_total = 0
     for d in range(_MAX_COKERNEL_DEGREE + 1):
-        codim = fam.dim_B(d) - len(fam.basis_A(d))
+        codim = len(fam.basis_B(d)) - len(fam.basis_A(d))
         if codim == 0 and d > 0:
-            assert fam.dim_B(d + 1) == len(fam.basis_A(d + 1)), "B/A did not stabilize"
+            assert len(fam.basis_B(d + 1)) == len(fam.basis_A(d + 1)), "B/A did not stabilize"
             break
         hilbert.append(codim)
         if codim:
@@ -554,7 +563,7 @@ def cokernel_profile_by_degree_sweep(fam):
         hilbert.pop()
     cond_polys = [p_of_monomial(g) for g in conductor(fam).gens]
     ann_ok = all(
-        stable_subspace(fam, unit_A, cond_polys, d).dim == fam.dim_B(d)
+        stable_subspace(fam, unit_A, cond_polys, d).dim == len(fam.basis_B(d))
         for d, codim in enumerate(hilbert)
         if codim
     )
@@ -592,6 +601,11 @@ _WITNESS_PASS = "I:I = A:I = B"
 _WITNESS_FAIL = "colon modules differ from B"
 
 
+def fills_B(fam, colon):
+    """Does every piece of a colon_in_B result have the dimension of B in its degree?"""
+    return all(space.dim == len(fam.basis_B(d)) for d, space in colon.pieces.items())
+
+
 def trace_verdict_two_colons(fam, ideal, bound):
     """The trace verdict with both colons solved up to the bound; each must fill B.
 
@@ -603,8 +617,9 @@ def trace_verdict_two_colons(fam, ideal, bound):
     if verdict[1] not in (_WITNESS_PASS, _WITNESS_FAIL):
         return verdict, None
     endo = colon_in_B(fam, GradedSubmodule.from_ideal(fam, ideal), ideal, bound=bound)
-    dual = colon_in_B(fam, GradedSubmodule.unit_A(fam), ideal, bound=bound)
-    if endo.equals_all_of_B(fam) and dual.equals_all_of_B(fam):
+    unit_A = GradedSubmodule.from_ideal(fam, MonomialIdeal.unit(fam.context))
+    dual = colon_in_B(fam, unit_A, ideal, bound=bound)
+    if fills_B(fam, endo) and fills_B(fam, dual):
         return (True, _WITNESS_PASS), (endo, dual)
     return (False, _WITNESS_FAIL), (endo, dual)
 

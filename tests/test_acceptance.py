@@ -44,6 +44,8 @@ from ccalab.suites import (
     s2_oracle_suite,
 )
 
+from oracles import nonface_ideal
+
 
 def report(name, ok):
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
@@ -216,10 +218,8 @@ def test_criterion_9_projective_plane_sanity():
         [1, 2, 5], [1, 2, 6], [1, 3, 4], [1, 3, 6], [1, 4, 5],
         [2, 3, 4], [2, 3, 5], [2, 4, 6], [3, 5, 6], [4, 5, 6],
     ]
-    cplx = SimplicialComplex.from_vertex_sets(
-        ctx, [[f"v{i}" for i in t] for t in triangles]
-    )
-    ideal = cplx.nonface_ideal()
+    cplx = SimplicialComplex(ctx, [ctx.mask_of([f"v{i}" for i in t]) for t in triangles])
+    ideal = nonface_ideal(cplx)
     checks = [
         depth(ideal, QQ) == 3,
         depth(ideal, GF(2)) == 2,

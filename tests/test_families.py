@@ -149,7 +149,7 @@ def test_artinian_rejects_positive_dimension():
 def test_f_family_report_fails_on_tampered_expected():
     rep = f_family_report(indexed(6, OVERLAP), QQ, expected={"depth_A": 2})  # the truth is 1
     assert not rep.passed()
-    assert any(c.claim_id == "depth.A" for c in rep.failures())
+    assert any(c.claim_id == "depth.A" and c.passed is False for c in rep.claims)
 
 
 def test_k_plus_q_negative_control():

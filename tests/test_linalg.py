@@ -161,7 +161,7 @@ def systems(draw):
 
 
 def dense(field, ncols, v):
-    out = [field.zero()] * ncols
+    out = [field.of(0)] * ncols
     for j, x in v.items():
         out[j] = field.of(x)
     return out

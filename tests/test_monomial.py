@@ -54,7 +54,7 @@ def test_context_invariants():
 def test_minimal_generating_set_is_canonical():
     i = ideal(CTX2, "x", "x^2", "x*y", "y", "y^3")
     assert [g.format(CTX2) for g in i.gens] == ["y", "x"]
-    j = MonomialIdeal.from_exponents(CTX2, [[0, 1], [1, 0]])
+    j = MonomialIdeal(CTX2, [(0, 1), (1, 0)])
     assert i == j
     assert hash(i) == hash(j)
 
@@ -62,8 +62,8 @@ def test_minimal_generating_set_is_canonical():
 def test_zero_and_unit_conventions():
     z = MonomialIdeal.zero(CTX2)
     u = MonomialIdeal.unit(CTX2)
-    assert z.is_zero() and not z.is_unit() and z.is_proper()
-    assert u.is_unit() and not u.is_proper()
+    assert z.is_zero() and not z.is_unit()
+    assert u.is_unit() and not u.is_zero()
     i = ideal(CTX2, "x*y")
     assert i.intersect(u) == i
     assert i.intersect(z) == z

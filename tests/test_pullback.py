@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from ccalab.errors import InfiniteLengthError, MethodDisagreementError, PrecisionError
+from ccalab.errors import (
+    ContextMismatchError,
+    InfiniteLengthError,
+    MethodDisagreementError,
+    PrecisionError,
+)
 from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import MonomialIdeal, MonomialPrime, VarContext, make_context
 from ccalab.polys import p_in_ideal, p_linear, p_mono, p_of_monomial
 from ccalab import pullback
 from ccalab.pullback import (
-    CONGRUENCE,
-    INTERSECTION,
     CokernelProfile,
     GradedSubmodule,
     PullbackFamily,
@@ -30,6 +33,15 @@ import oracles
 from oracles import BElement
 
 CTX4 = VarContext(("X", "Y", "Z", "W"))
+
+
+def _unit_A(fam):
+    """A itself inside B, generated by 1."""
+    return GradedSubmodule.from_ideal(fam, MonomialIdeal.unit(fam.context))
+
+
+def _kind(fam):
+    return "intersection" if fam.q.is_zero() else "congruence"
 
 
 @pytest.fixture
@@ -65,12 +77,68 @@ def test_antichain_enforced():
     # one prime object passed twice is a repeated component, not an antichain
     p = MonomialPrime(CTX4, CTX4.mask_of(["X", "Y"]))
     with pytest.raises(ValueError):
-        PullbackFamily(CTX4, INTERSECTION, primes=(p, p))
+        PullbackFamily(CTX4, (p, p), MonomialIdeal.zero(CTX4))
 
 
 def test_congruence_needs_proper_ideal():
     with pytest.raises(ValueError):
         PullbackFamily.congruence(MonomialIdeal.unit(CTX4))
+
+
+_XY = MonomialPrime(CTX4, CTX4.mask_of(["X", "Y"]))
+_ZW = MonomialPrime(CTX4, CTX4.mask_of(["Z", "W"]))
+_ZEROS = (MonomialPrime(CTX4, 0),) * 2
+_ZERO_Q = MonomialIdeal.zero(CTX4)
+_Q = MonomialIdeal.from_strings(CTX4, ["X^2", "Y"])
+_OTHER = make_context(4)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(
+            lambda: PullbackFamily.from_supports(CTX4, []), ValueError, "one component",
+            id="no-component",
+        ),
+        pytest.param(
+            lambda: PullbackFamily.from_supports(CTX4, [[]]), ValueError, "nonzero primes",
+            id="zero-prime",
+        ),
+        pytest.param(
+            lambda: PullbackFamily(CTX4, (_XY, _XY), _ZERO_Q), ValueError, "antichain",
+            id="same-prime-twice",
+        ),
+        pytest.param(
+            lambda: PullbackFamily(CTX4, _ZEROS, _ZERO_Q), ValueError, "nonzero primes",
+            id="zero-primes-with-zero-q",
+        ),
+        pytest.param(
+            lambda: PullbackFamily.congruence(MonomialIdeal.unit(CTX4)), ValueError, "proper",
+            id="unit-q",
+        ),
+        pytest.param(
+            lambda: PullbackFamily(CTX4, (_XY, MonomialPrime(_OTHER, 0b1100)), _ZERO_Q),
+            ContextMismatchError, "context",
+            id="prime-from-another-context",
+        ),
+        pytest.param(
+            lambda: PullbackFamily(CTX4, _ZEROS, MonomialIdeal.from_strings(_OTHER, ["x1"])),
+            ContextMismatchError, "context",
+            id="q-from-another-context",
+        ),
+        pytest.param(
+            lambda: PullbackFamily(CTX4, (_XY, _ZW), _Q), ValueError, "two zero primes",
+            id="nonzero-q-beside-nonzero-primes",
+        ),
+        pytest.param(
+            lambda: PullbackFamily(CTX4, _ZEROS[:1], _Q), ValueError, "two zero primes",
+            id="nonzero-q-beside-one-zero-prime",
+        ),
+    ],
+)
+def test_every_rejection_raises(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 # -- image membership -------------------------------------------------------------
@@ -195,7 +263,7 @@ def test_cokernel_negative_control():
 
 def test_colon_by_unit_recovers_A(two_planes):
     unit_ideal = MonomialIdeal.unit(CTX4)
-    sub_a = GradedSubmodule.unit_A(two_planes)
+    sub_a = _unit_A(two_planes)
     res = colon_in_B(two_planes, sub_a, unit_ideal, bound=4)
     for d in range(5):
         assert res.piece(d) == sub_a.piece(d)
@@ -208,20 +276,20 @@ def test_colon_max_ideal_powers_fill_B(two_planes):
     for ell in (1, 2, 3):
         sub = GradedSubmodule.from_ideal(two_planes, power)
         res = colon_in_B(two_planes, sub, power, bound=4)
-        assert res.equals_all_of_B(two_planes)
+        assert oracles.fills_B(two_planes, res)
         power = power * m
 
 
 def test_colon_of_A_by_max_ideal_fills_B(overlap6):
     ctx = overlap6.context
     m = MonomialIdeal.from_support(ctx, ctx.names)
-    res = colon_in_B(overlap6, GradedSubmodule.unit_A(overlap6), m, bound=3)
-    assert res.equals_all_of_B(overlap6)
+    res = colon_in_B(overlap6, _unit_A(overlap6), m, bound=3)
+    assert oracles.fills_B(overlap6, res)
 
 
 def test_colon_default_bound(two_planes):
     m = MonomialIdeal.from_support(CTX4, CTX4.names)
-    res = colon_in_B(two_planes, GradedSubmodule.unit_A(two_planes), m)
+    res = colon_in_B(two_planes, _unit_A(two_planes), m)
     assert res.bound == 1 + 4
     assert "degree 5" in res.note
 
@@ -229,7 +297,7 @@ def test_colon_default_bound(two_planes):
 def test_colon_bound_below_generator_degree_is_rejected(two_planes):
     # an empty or too short degree range must never read as "all of B"
     m = MonomialIdeal.from_support(CTX4, CTX4.names)
-    sub_a = GradedSubmodule.unit_A(two_planes)
+    sub_a = _unit_A(two_planes)
     for bound in (-1, -5):
         with pytest.raises(PrecisionError):
             colon_in_B(two_planes, sub_a, m, bound=bound)
@@ -296,7 +364,7 @@ def test_regular_sequence(two_planes):
 
 def test_regular_sequence_rank_test_matches_degree_sweep():
     rng = random.Random(5)
-    outcomes = {(mode, got): 0 for mode in (INTERSECTION, CONGRUENCE) for got in (True, False)}
+    outcomes = {(kind, got): 0 for kind in ("intersection", "congruence") for got in (True, False)}
     for trial in range(200):
         n = rng.randint(3, 6)
         ctx = make_context(n)
@@ -321,7 +389,7 @@ def test_regular_sequence_rank_test_matches_degree_sweep():
             forms.append({m: -2 * c for m, c in rng.choice(forms).items()})
         got = regular_sequence_on_B(fam, forms)
         assert got == oracles.regular_sequence_by_degree_sweep(fam, forms, 3), (fam, forms)
-        outcomes[fam.mode, got] += 1
+        outcomes[_kind(fam), got] += 1
     assert min(outcomes.values()) >= 10
     assert sum(v for (_, got), v in outcomes.items() if got) >= 20
     assert sum(v for (_, got), v in outcomes.items() if not got) >= 20
@@ -331,11 +399,11 @@ def test_lift_route_and_missing_match_the_element_algebra():
     rng = random.Random(0)
     outcomes = dict.fromkeys(
         [
-            (INTERSECTION, None),
-            (INTERSECTION, "not in A"),
-            (INTERSECTION, "witness escapes the ideal"),
-            (CONGRUENCE, None),
-            (CONGRUENCE, "not in A"),
+            ("intersection", None),
+            ("intersection", "not in A"),
+            ("intersection", "witness escapes the ideal"),
+            ("congruence", None),
+            ("congruence", "not in A"),
         ],
         0,
     )
@@ -358,13 +426,13 @@ def test_lift_route_and_missing_match_the_element_algebra():
             assert got == oracles.lift_failures_by_belement(fam, a, target), (fam, a)
             why = dict(got)
             for j in range(fam.ell):
-                outcomes[fam.mode, why.get(j)] += 1
-            if fam.mode == CONGRUENCE and p_in_ideal(a, fam.q) and not p_in_ideal(a, target):
+                outcomes[_kind(fam), why.get(j)] += 1
+            if _kind(fam) == "congruence" and p_in_ideal(a, fam.q) and not p_in_ideal(a, target):
                 cut_without_lift += 1
         sub = rng.choice(
             (
                 GradedSubmodule.from_ideal(fam, ideal),
-                GradedSubmodule.unit_A(fam),
+                _unit_A(fam),
                 GradedSubmodule.multiples(fam, forms),
             )
         )
@@ -418,13 +486,13 @@ def _random_families(rng):
     while len(fams) < 40:
         ctx = make_context(rng.randint(2, 3))
         q = random_monomial_ideal(rng, ctx, max_gens=3, max_deg=2)
-        if q.is_proper():
+        if not q.is_unit():
             fams.append(PullbackFamily.congruence(q))
     return fams
 
 
 def _span(fam, elements, d):
-    return Subspace(QQ, fam.dim_B(d), [b.vector(d) for b in elements])
+    return Subspace(QQ, len(fam.basis_B(d)), [b.vector(d) for b in elements])
 
 
 def test_merged_paths_match_reference_oracles():
@@ -438,7 +506,7 @@ def test_merged_paths_match_reference_oracles():
         for d in range(cond.max_gen_degree() + 3):
             ref = oracles.basis_A_by_defining_ideal(fam, d)
             assert len(fam.basis_A(d)) == len(ref)
-            assert GradedSubmodule.unit_A(fam).piece(d) == _span(fam, ref, d)
+            assert _unit_A(fam).piece(d) == _span(fam, ref, d)
             for formula in (cond, inner):
                 closed = oracles.closed_conductor_by_mode(fam, formula, d)
                 assert monomial_span(fam, formula, d) == closed
@@ -467,7 +535,7 @@ def test_piece_matches_belement_products():
         forms = [p_linear(n, rng.sample(range(n), rng.randint(1, n))) for _ in range(2)]
         subs = (
             GradedSubmodule.from_ideal(fam, ideal),
-            GradedSubmodule.unit_A(fam),
+            _unit_A(fam),
             GradedSubmodule.multiples(fam, forms),
         )
         for sub in subs:
@@ -498,12 +566,12 @@ def test_annihilator_solve_matches_product_oracle():
     rng = random.Random(29)
     outcomes = []
     for fam in _random_families(rng):
-        unit_A = GradedSubmodule.unit_A(fam)
+        unit_A = _unit_A(fam)
         other = random_monomial_ideal(rng, fam.context, max_gens=3, max_deg=2)
         for ideal in (conductor(fam), other):
             polys = [p_of_monomial(g) for g in ideal.gens]
             for d in range(3):
-                solved = stable_subspace(fam, unit_A, polys, d).dim == fam.dim_B(d)
+                solved = stable_subspace(fam, unit_A, polys, d).dim == len(fam.basis_B(d))
                 assert solved == oracles.annihilates_by_products(fam, ideal, d)
                 outcomes.append(solved)
     # both outcomes occur, so neither side can pass by always answering one way
@@ -564,8 +632,8 @@ def _cokernel_families(rng, count):
         q = random_monomial_ideal(rng, ctx, max_gens=3, max_deg=3)
         if kind == 2:
             pure = [[rng.randint(1, 3) * (j == k) for j in range(ctx.n)] for k in range(ctx.n)]
-            q = q + MonomialIdeal.from_exponents(ctx, pure)
-        if q.is_proper():
+            q = q + MonomialIdeal(ctx, pure)
+        if not q.is_unit():
             fams.append(PullbackFamily.congruence(q))
     return fams
 

@@ -27,7 +27,7 @@ def test_every_registered_example_passes():
     reports = []
     for eid in example_ids():
         rep = run_example(eid)
-        assert rep.passed(), f"{eid}: {[c.claim_id for c in rep.failures()]}"
+        assert rep.passed(), f"{eid}: {[c.claim_id for c in rep.claims if c.passed is False]}"
         reports.append(rep)
     # byte-level guard: the same bytes as `ccalab verify all --format json`
     golden = (GOLDEN / "verify_all.json").read_text()

@@ -1,4 +1,4 @@
-"""Source hygiene: every top-level name in ccalab is reached, and no import idles.
+"""Source hygiene: every name defined in ccalab is reached, and no import idles.
 
 A module-level function or class counts as reached when some other
 top-level statement in `src/ccalab` or `bench/` names it: as a name, an
@@ -6,7 +6,9 @@ attribute, an import, or an identifier inside a string constant (the
 bench tracer names its spans by string); docstrings do not count.  A
 click command is reached through its decorator.  Neither tests nor the
 package exports in `__init__.py` count: a definition only they name is
-one no report, CLI command, suite or bench item reaches.
+one no report, CLI command, suite or bench item reaches.  A method of a
+class in `src/ccalab` follows the same rule, with the other members of
+its class counting as well; dunder methods are exempt.
 """
 
 from __future__ import annotations
@@ -38,14 +40,12 @@ def _is_docstring(node):
 
 
 def _names_in(node):
-    """Every identifier a statement mentions, docstrings aside."""
-    docstrings = {
-        id(sub.body[0].value)
-        for sub in ast.walk(node)
-        if isinstance(getattr(sub, "body", None), list)
-        and sub.body
-        and _is_docstring(sub.body[0])
-    }
+    """Every identifier a statement mentions, docstrings aside.
+
+    A string standing alone as a statement is a docstring (of a module,
+    class or function) and mentions nothing.
+    """
+    docstrings = {id(sub.value) for sub in ast.walk(node) if _is_docstring(sub)}
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -68,7 +68,8 @@ def _is_click_command(node):
     return False
 
 
-def test_every_top_level_definition_is_reached():
+def _mentions():
+    """The names each top-level statement of src and bench mentions, keyed by (path, index)."""
     mentions = {}
     files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
     for path in files:
@@ -76,6 +77,11 @@ def test_every_top_level_definition_is_reached():
             continue
         for i, node in enumerate(_parse(path).body):
             mentions[(path, i)] = _names_in(node)
+    return mentions
+
+
+def test_every_top_level_definition_is_reached():
+    mentions = _mentions()
     unreached = []
     for path in sorted(SRC.glob("*.py")):
         for i, node in enumerate(_parse(path).body):
@@ -87,6 +93,25 @@ def test_every_top_level_definition_is_reached():
                 node.name in names for key, names in mentions.items() if key != (path, i)
             ):
                 unreached.append(f"{path.name}:{node.name}")
+    assert not unreached, f"reached by nothing outside their own definition: {unreached}"
+
+
+def test_every_method_is_reached():
+    mentions = _mentions()
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for i, node in enumerate(_parse(path).body):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            outside = set().union(*(names for key, names in mentions.items() if key != (path, i)))
+            for member in node.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if member.name.startswith("__") and member.name.endswith("__"):
+                    continue
+                siblings = set().union(*(_names_in(m) for m in node.body if m is not member))
+                if member.name not in outside | siblings:
+                    unreached.append(f"{path.name}:{node.name}.{member.name}")
     assert not unreached, f"reached by nothing outside their own definition: {unreached}"
 
 
