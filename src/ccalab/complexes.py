@@ -31,15 +31,6 @@ from .monomial import make_context
 MAX_VERTICES = 16
 
 
-def _bits(mask):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
 def _max_antichain(masks):
     """Maximal elements under inclusion of a set of masks."""
     masks = sorted(set(masks), key=int.bit_count, reverse=True)
@@ -77,18 +68,13 @@ class SimplicialComplex:
             return None
         return max(f.bit_count() for f in self.facets) - 1
 
-    def has_face(self, mask):
-        return any(mask & f == mask for f in self.facets)
-
     def faces(self):
         """All faces as a sorted list of masks (includes 0 if non-void)."""
         seen = set()
         for f in self.facets:
             sub = f
-            # enumerate subsets of each facet
-            while True:
-                if sub not in seen:
-                    seen.add(sub)
+            while True:  # every subset of the facet, down to the empty one
+                seen.add(sub)
                 if sub == 0:
                     break
                 sub = (sub - 1) & f
@@ -101,21 +87,6 @@ class SimplicialComplex:
             by.setdefault(f.bit_count(), []).append(f)
         top = max(by) if by else -1
         return [sorted(by.get(k, [])) for k in range(top + 1)]
-
-    def restriction(self, mask):
-        """Full subcomplex on the vertex subset mask."""
-        if self.is_void():
-            return self
-        return SimplicialComplex(self.context, [f & mask for f in self.facets])
-
-    def link(self, face_mask):
-        """Link of a face: {tau : tau disjoint from sigma, tau + sigma a face}."""
-        if not self.has_face(face_mask):
-            raise ValueError("link of a non-face")
-        return SimplicialComplex(
-            self.context,
-            [f & ~face_mask for f in self.facets if f & face_mask == face_mask],
-        )
 
     def __eq__(self, other):
         return (
@@ -157,10 +128,11 @@ def boundary_matrix(lower, upper):
     index = {f: i for i, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
     for j, f in enumerate(upper):
-        verts = list(_bits(f))
-        for pos, v in enumerate(verts):
-            sub = f & ~(1 << v)
-            rows[index[sub]][j] = (-1) ** pos
+        sign, rest = 1, f
+        while rest:
+            v = rest & -rest  # the lowest vertex not yet removed
+            rows[index[f & ~v]][j] = sign
+            sign, rest = -sign, rest & ~v
     return rows
 
 
@@ -238,13 +210,9 @@ class BettiTable:
     def __setattr__(self, *a):
         raise AttributeError("BettiTable is immutable")
 
-    def max_index(self):
-        """Largest homological index with a nonzero entry; -1 if empty."""
-        return max((i for (i, _) in self.entries), default=-1)
-
     def projective_dimension_of_quotient(self):
-        """pd of T/I: one above the ideal's last Betti index."""
-        return self.max_index() + 1
+        """pd of T/I: one above the ideal's last Betti index (0 for an empty table)."""
+        return max((i for (i, _) in self.entries), default=-1) + 1
 
     def to_json(self):
         return {
@@ -264,23 +232,6 @@ class BettiTable:
         return f"BettiTable({len(self.entries)} entries, field={self.field})"
 
 
-def _betti_for_subset(cplx, field, mask, support, homology):
-    # restricting to mask is restricting to tau = mask & support, so the
-    # homology is looked up per tau; only i = |mask| - j - 2 reads mask
-    tau = mask & support
-    hom = homology.get(tau)
-    if hom is None:
-        hom = homology[tau] = reduced_homology(cplx.restriction(tau), field)
-    size = mask.bit_count()
-    out = []
-    for j, r in hom.items():
-        if r:
-            i = size - j - 2
-            if i >= 0:
-                out.append(((i, mask), r))
-    return out
-
-
 def graded_betti(ideal, field):
     """Betti table of a squarefree proper ideal via subset restrictions.
 
@@ -293,19 +244,24 @@ def graded_betti(ideal, field):
         raise NotSquarefreeError("graded_betti needs a squarefree ideal")
     if ideal.is_unit():
         raise UnitIdealError("graded_betti needs a proper ideal")
-    cplx = complex_of(ideal)
+    facets = complex_of(ideal).facets
     support = 0
-    for f in cplx.facets:
+    for f in facets:
         support |= f
     homology = {}  # tau -> reduced_homology of the restriction, this call only
-    pieces = [
-        _betti_for_subset(cplx, field, m, support, homology)
-        for m in range(1 << ideal.context.n)
-    ]
     entries = {}
-    for piece in pieces:
-        for key, v in piece:
-            entries[key] = entries.get(key, 0) + v
+    for sigma in range(1 << ideal.context.n):
+        # restricting to sigma is restricting to tau = sigma & support, so the
+        # homology is looked up per tau; only i = |sigma| - j - 2 reads sigma
+        tau = sigma & support
+        hom = homology.get(tau)
+        if hom is None:
+            restriction = SimplicialComplex(ideal.context, [f & tau for f in facets])
+            hom = homology[tau] = reduced_homology(restriction, field)
+        size = sigma.bit_count()
+        for j, r in hom.items():
+            if r and size - j - 2 >= 0:
+                entries[(size - j - 2, sigma)] = r
     return BettiTable(ideal.context, field, entries)
 
 
@@ -326,6 +282,19 @@ def depth(ideal, field):
     return ideal.context.n - projective_dimension(ideal, field)
 
 
+def _link_homology(cplx, field):
+    """(|sigma|, reduced homology of lk sigma) for every face sigma.
+
+    lk sigma = {tau disjoint from sigma : tau + sigma a face}: the facets
+    through sigma, less sigma.
+    """
+    for face in cplx.faces():
+        link = SimplicialComplex(
+            cplx.context, [f & ~face for f in cplx.facets if f & face == face]
+        )
+        yield face.bit_count(), reduced_homology(link, field)
+
+
 def depth_via_local_cohomology(ideal, field):
     """depth of T/I as the least degree with nonvanishing local cohomology.
 
@@ -337,16 +306,8 @@ def depth_via_local_cohomology(ideal, field):
     if ideal.is_zero():
         return ideal.context.n
     sf, added = ideal.polarize()
-    cplx = complex_of(sf)
-    best = None
-    for face in cplx.faces():
-        hom = reduced_homology(cplx.link(face), field)
-        size = face.bit_count()
-        for j, r in hom.items():
-            if r:
-                i = j + size + 1
-                best = i if best is None else min(best, i)
-    return best - added
+    links = _link_homology(complex_of(sf), field)
+    return min(j + size + 1 for size, hom in links for j, r in hom.items() if r) - added
 
 
 def dim_of_quotient(ideal):
@@ -360,14 +321,13 @@ def is_cohen_macaulay(cplx, field):
     """Reisner's criterion: every link is homology-connected below its top.
 
     True iff for every face sigma (the empty face included) the link has
-    vanishing reduced homology in all degrees below its dimension.
+    vanishing reduced homology in all degrees below its dimension.  The
+    homology is keyed -1 .. dim of the link, so its top key is that dimension.
     """
     if cplx.is_void():
         raise VoidComplexError("Cohen-Macaulay test on the void complex")
-    for face in cplx.faces():
-        lk = cplx.link(face)
-        d = lk.dim()
-        for j, r in reduced_homology(lk, field).items():
-            if j < d and r:
-                return False
+    for _size, hom in _link_homology(cplx, field):
+        top = max(hom)
+        if any(r for j, r in hom.items() if j < top):
+            return False
     return True

@@ -65,9 +65,6 @@ class FieldSpec:
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
 

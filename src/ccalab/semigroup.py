@@ -164,16 +164,35 @@ def _mul_series(a, b, field, precision):
     return {e: c for e, c in out.items() if c}
 
 
+def _check_margin(margin):
+    # a negative margin would stretch the window past the truncation
+    if margin < 0:
+        raise PrecisionError(f"margin {margin} is negative")
+
+
 class TruncatedSubalgebra:
     """The unital subalgebra of k[t]/(t^N) generated by given series.
 
     The basis is echelonized by t-valuation, so the pivot set below the
-    certified window is exactly the value semigroup pattern v(P).
+    certified window is exactly the value semigroup pattern v(P).  The
+    constructor refuses a negative margin and a precision below
+    2 * (largest generator valuation) + margin.
     """
 
     __slots__ = ("field", "precision", "margin", "basis")
 
     def __init__(self, gens, field, precision=DEFAULT_PRECISION, margin=DEFAULT_MARGIN):
+        _check_margin(margin)
+        max_val = 0
+        for g in gens:
+            nonzero = [e for e, c in g.items() if c]
+            if nonzero:
+                max_val = max(max_val, min(nonzero))
+        if precision < 2 * max_val + margin:
+            raise PrecisionError(
+                f"precision {precision} is below 2 * generator valuation {max_val}"
+                f" + margin {margin} = {2 * max_val + margin}"
+            )
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "margin", margin)
@@ -232,25 +251,8 @@ class TruncatedSubalgebra:
         }
 
 
-def _check_margin(margin):
-    # a negative margin would stretch the window past the truncation
-    if margin < 0:
-        raise PrecisionError(f"margin {margin} is negative")
-
-
 def subalgebra_closure(gens, field, precision=DEFAULT_PRECISION, margin=DEFAULT_MARGIN):
     """Fixed-point closure of the span under multiplication by generators."""
-    _check_margin(margin)
-    max_val = 0
-    for g in gens:
-        nonzero = [e for e, c in g.items() if c]
-        if nonzero:
-            max_val = max(max_val, min(nonzero))
-    if precision < 2 * max_val + margin:
-        raise PrecisionError(
-            f"precision {precision} is below 2 * generator valuation {max_val}"
-            f" + margin {margin} = {2 * max_val + margin}"
-        )
     return TruncatedSubalgebra(gens, field, precision, margin)
 
 
@@ -441,7 +443,6 @@ def cone_model_checks(
         "socle_B_over_A": socle_ba,
         "socle_V_over_P": socle_vp,
         "window": window,
-        "p_data": P.report_data(),
     }
 
 

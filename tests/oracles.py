@@ -6,7 +6,9 @@ complexes and for their non-face ideals (the reference for the round trip
 through complex_of), reduced homology from the boundary matrices of the
 complex itself (the engine's original route, the reference for its cone
 and nerve shortcuts), a Betti sweep that computes every subset's restriction afresh
-by that route, exhaustive prime enumeration for minimal primes, the
+by that route, the engine's original link sweep (each link built on its own and
+its dimension read from the link) for both depth by local cohomology and
+Reisner's test, exhaustive prime enumeration for minimal primes, the
 engine's original unmixed part (primary components grouped from the
 irreducible ones) and irredundance loop (each component against the
 intersection of the others) as the references for the rules read off
@@ -30,7 +32,7 @@ the products of their generators as the reference for the closure loop.
 from fractions import Fraction
 from itertools import combinations
 
-from ccalab.complexes import BettiTable, boundary_matrix, complex_of
+from ccalab.complexes import BettiTable, SimplicialComplex, boundary_matrix, complex_of
 from ccalab.linalg import QQ, Subspace, rank
 from ccalab.monomial import Monomial, MonomialIdeal, intersect_all, monomials_of_degree
 from ccalab.polys import p_degree, p_in_ideal, p_linear, p_of_monomial
@@ -135,10 +137,8 @@ def faces_by_membership(ideal):
 def nonface_ideal(cplx):
     """The squarefree ideal of the non-faces of a complex, by 2^n enumeration."""
     n = cplx.context.n
-    return MonomialIdeal(
-        cplx.context,
-        [tuple((m >> k) & 1 for k in range(n)) for m in range(1 << n) if not cplx.has_face(m)],
-    )
+    nonfaces = [m for m in range(1 << n) if not any(m & f == m for f in cplx.facets)]
+    return MonomialIdeal(cplx.context, [tuple((m >> k) & 1 for k in range(n)) for m in nonfaces])
 
 
 def homology_by_boundary_matrices(cplx, field):
@@ -172,10 +172,48 @@ def betti_by_full_sweep(ideal, field):
     entries = {}
     for mask in range(1 << ideal.context.n):
         size = mask.bit_count()
-        for j, r in homology_by_boundary_matrices(cplx.restriction(mask), field).items():
+        restriction = SimplicialComplex(cplx.context, [f & mask for f in cplx.facets])
+        for j, r in homology_by_boundary_matrices(restriction, field).items():
             if r and size - j - 2 >= 0:
                 entries[(size - j - 2, mask)] = r
     return BettiTable(ideal.context, field, entries)
+
+
+def _links(cplx):
+    """(sigma, lk sigma) for every face sigma of the complex."""
+    for face in cplx.faces():
+        yield face, SimplicialComplex(
+            cplx.context, [f & ~face for f in cplx.facets if f & face == face]
+        )
+
+
+def depth_by_link_sweep(ideal, field):
+    """depth of T/I by the link formula, every link's homology from its boundary matrices.
+
+    H^i_m(T/I) is nonzero iff some face sigma has H~_{i - |sigma| - 1}(lk sigma)
+    nonzero.  A non-squarefree ideal is polarized first, and each variable
+    the polarization adds raises the depth by one, so those come off.
+    """
+    if ideal.is_zero():
+        return ideal.context.n
+    sf, added = ideal.polarize()
+    best = None
+    for face, lk in _links(complex_of(sf)):
+        for j, r in homology_by_boundary_matrices(lk, field).items():
+            if r:
+                i = j + face.bit_count() + 1
+                best = i if best is None else min(best, i)
+    return best - added
+
+
+def cohen_macaulay_by_link_sweep(cplx, field):
+    """Reisner's criterion with each link's dimension taken from the link itself."""
+    for _face, lk in _links(cplx):
+        d = lk.dim()
+        for j, r in homology_by_boundary_matrices(lk, field).items():
+            if j < d and r:
+                return False
+    return True
 
 
 def sieve_semigroup(gens, limit):
@@ -265,7 +303,7 @@ class DenseSubspace:
             c = v[p]
             if c:
                 for j in range(p, self.ambient):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+                    v[j] = f.add(v[j], f.neg(f.mul(c, row[j])))
         return v
 
     def contains(self, v):
@@ -285,7 +323,7 @@ class DenseSubspace:
             c = row[piv]
             if c:
                 for j in range(piv, self.ambient):
-                    row[j] = f.sub(row[j], f.mul(c, r[j]))
+                    row[j] = f.add(row[j], f.neg(f.mul(c, r[j])))
         k = 0
         while k < len(self.pivots) and self.pivots[k] < piv:
             k += 1
@@ -332,7 +370,7 @@ def dense_nullspace(rows, ncols, field):
         for i in range(nr):
             if i != r and m[i][c]:
                 fac = m[i][c]
-                m[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [f.add(a, f.neg(f.mul(fac, b))) for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nr:

@@ -20,6 +20,8 @@ from ccalab.monomial import MonomialIdeal, VarContext, make_context
 
 from oracles import (
     betti_by_full_sweep,
+    cohen_macaulay_by_link_sweep,
+    depth_by_link_sweep,
     faces_by_membership,
     homology_by_boundary_matrices,
     nonface_ideal,
@@ -201,6 +203,7 @@ def test_homology_routes_match_boundary_matrices(routed):
         field = fields[case % 3]
         hom, route = routed(c, field)
         assert hom == homology_by_boundary_matrices(c, field)
+        assert max(hom) == c.dim()  # Reisner's test reads the dimension off the keys
         routes[route] += 1
     assert min(routes.values()) >= 50, routes
 
@@ -416,6 +419,33 @@ def test_depth_at_most_dim_with_equality_iff_cm():
 
 
 # -- Reisner criterion ---------------------------------------------------------
+
+
+def test_link_routes_match_link_sweep_oracle():
+    # up to eleven minimal generators of degree 2 or 3: complexes with many
+    # facets, whose links the engine builds inline and the oracle on its own
+    rng = random.Random(23)
+    seen = {"cm": set(), "depth": set(), "gens": set()}
+    for case in range(80):
+        n = rng.randint(4, 9)
+        gens = []
+        for _ in range(rng.randint(2, 12)):
+            supp = rng.sample(range(n), rng.randint(2, 3))
+            # every eighth ideal has a square, so depth goes through polarization
+            power = 2 if case % 8 == 0 and not gens else 1
+            gens.append(tuple(power if v == supp[0] else 1 if v in supp else 0 for v in range(n)))
+        ideal = MonomialIdeal(make_context(n), gens)
+        seen["gens"].add(len(ideal.gens))
+        field = (QQ, GF(2))[case % 2]
+        d = depth_via_local_cohomology(ideal, field)
+        assert d == depth_by_link_sweep(ideal, field)
+        seen["depth"].add(d)
+        if ideal.is_squarefree():
+            c = complex_of(ideal)
+            cm = is_cohen_macaulay(c, field)
+            assert cm == cohen_macaulay_by_link_sweep(c, field)
+            seen["cm"].add(cm)
+    assert seen["cm"] == {True, False} and len(seen["depth"]) >= 5 and max(seen["gens"]) >= 10
 
 
 def test_simplex_is_cohen_macaulay():

@@ -71,20 +71,6 @@ def fiber_x1sq():
 # -- construction ---------------------------------------------------------------
 
 
-def test_antichain_enforced():
-    with pytest.raises(ValueError):
-        PullbackFamily.from_supports(CTX4, [["X", "Y"], ["X"]])
-    # one prime object passed twice is a repeated component, not an antichain
-    p = MonomialPrime(CTX4, CTX4.mask_of(["X", "Y"]))
-    with pytest.raises(ValueError):
-        PullbackFamily(CTX4, (p, p), MonomialIdeal.zero(CTX4))
-
-
-def test_congruence_needs_proper_ideal():
-    with pytest.raises(ValueError):
-        PullbackFamily.congruence(MonomialIdeal.unit(CTX4))
-
-
 _XY = MonomialPrime(CTX4, CTX4.mask_of(["X", "Y"]))
 _ZW = MonomialPrime(CTX4, CTX4.mask_of(["Z", "W"]))
 _ZEROS = (MonomialPrime(CTX4, 0),) * 2
@@ -104,6 +90,12 @@ _OTHER = make_context(4)
             lambda: PullbackFamily.from_supports(CTX4, [[]]), ValueError, "nonzero primes",
             id="zero-prime",
         ),
+        pytest.param(
+            lambda: PullbackFamily.from_supports(CTX4, [["X", "Y"], ["X"]]),
+            ValueError, "antichain",
+            id="nested-supports",
+        ),
+        # one prime object passed twice is a repeated component, not an antichain
         pytest.param(
             lambda: PullbackFamily(CTX4, (_XY, _XY), _ZERO_Q), ValueError, "antichain",
             id="same-prime-twice",

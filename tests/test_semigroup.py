@@ -11,6 +11,7 @@ from ccalab.semigroup import (
     NumericalSemigroup,
     _quad_mul_alpha,
     QuadraticExtensionModel,
+    TruncatedSubalgebra,
     cone_model_checks,
     parse_t_series,
     quadratic_extension_checks,
@@ -175,6 +176,15 @@ def test_full_ring_has_conductor_exponent_zero():
 def test_precision_guard():
     with pytest.raises(PrecisionError):
         subalgebra_closure([{30: 1}, {31: 1}], QQ, 40, 10)
+
+
+def test_truncated_subalgebra_checks_its_own_window():
+    # built directly, not through subalgebra_closure: with margin -5 the
+    # window 25 would read t^22 as a member of k[t]/(t^20)
+    with pytest.raises(PrecisionError, match="negative"):
+        TruncatedSubalgebra([{2: 1}, {3: 1}], QQ, precision=20, margin=-5)
+    with pytest.raises(PrecisionError, match="below 2 \\* generator valuation"):
+        TruncatedSubalgebra([{30: 1}, {31: 1}], QQ, 40, 10)
 
 
 def test_negative_margin_is_rejected():

@@ -2,13 +2,15 @@
 
 A module-level function or class counts as reached when some other
 top-level statement in `src/ccalab` or `bench/` names it: as a name, an
-attribute, an import, or an identifier inside a string constant (the
-bench tracer names its spans by string); docstrings do not count.  A
-click command is reached through its decorator.  Neither tests nor the
-package exports in `__init__.py` count: a definition only they name is
-one no report, CLI command, suite or bench item reaches.  A method of a
-class in `src/ccalab` follows the same rule, with the other members of
-its class counting as well; dunder methods are exempt.
+attribute, an import, or a string constant that is wholly an identifier
+or a dotted path (the bench tracer names its spans so, as in
+"Subspace.insert"); prose strings and docstrings do not count.  A click
+command is reached through its decorator.  Neither tests nor the package
+exports in `__init__.py` count: a definition only they name is one no
+report, CLI command, suite or bench item reaches.  A method of a class in
+`src/ccalab` is reached only through attribute access or such a path,
+from outside its class or from its other members; a local variable or a
+function of the same name does not reach it.  Dunder methods are exempt.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ BENCH = ROOT / "bench"
 # s2_equals_B_test waits to back the `s2.hull-is-B` entry (ROADMAP item 8).
 ALLOWED_UNREACHED = {"s2_equals_B_test"}
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
 def _parse(path):
@@ -39,24 +41,28 @@ def _is_docstring(node):
     )
 
 
-def _names_in(node):
+def _names_in(node, attributes_only=False):
     """Every identifier a statement mentions, docstrings aside.
 
-    A string standing alone as a statement is a docstring (of a module,
-    class or function) and mentions nothing.
+    Attribute names and the parts of identifier or dotted-path strings
+    always count; names and imports only without attributes_only.  A string
+    standing alone as a statement is a docstring (of a module, class or
+    function) and mentions nothing.
     """
     docstrings = {id(sub.value) for sub in ast.walk(node) if _is_docstring(sub)}
     out = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if id(sub) not in docstrings and _PATH.fullmatch(sub.value):
+                out.update(sub.value.split("."))
+        elif attributes_only:
+            continue
+        elif isinstance(sub, ast.Name):
+            out.add(sub.id)
         elif isinstance(sub, ast.alias):
             out.update(sub.name.split("."))
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if id(sub) not in docstrings:
-                out.update(_IDENT.findall(sub.value))
     return out
 
 
@@ -68,7 +74,7 @@ def _is_click_command(node):
     return False
 
 
-def _mentions():
+def _mentions(attributes_only=False):
     """The names each top-level statement of src and bench mentions, keyed by (path, index)."""
     mentions = {}
     files = sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))
@@ -76,7 +82,7 @@ def _mentions():
         if path == SRC / "__init__.py":  # an export alone reaches nothing
             continue
         for i, node in enumerate(_parse(path).body):
-            mentions[(path, i)] = _names_in(node)
+            mentions[(path, i)] = _names_in(node, attributes_only)
     return mentions
 
 
@@ -97,7 +103,7 @@ def test_every_top_level_definition_is_reached():
 
 
 def test_every_method_is_reached():
-    mentions = _mentions()
+    mentions = _mentions(attributes_only=True)
     unreached = []
     for path in sorted(SRC.glob("*.py")):
         for i, node in enumerate(_parse(path).body):
@@ -109,7 +115,9 @@ def test_every_method_is_reached():
                     continue
                 if member.name.startswith("__") and member.name.endswith("__"):
                     continue
-                siblings = set().union(*(_names_in(m) for m in node.body if m is not member))
+                siblings = set().union(
+                    *(_names_in(m, attributes_only=True) for m in node.body if m is not member)
+                )
                 if member.name not in outside | siblings:
                     unreached.append(f"{path.name}:{node.name}.{member.name}")
     assert not unreached, f"reached by nothing outside their own definition: {unreached}"
