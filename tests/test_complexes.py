@@ -421,12 +421,21 @@ def test_depth_at_most_dim_with_equality_iff_cm():
 # -- Reisner criterion ---------------------------------------------------------
 
 
+def _swept_sizes(cplx, field):
+    """|sigma| of every face the engine's link sweep reaches."""
+    return [size for size, _hom in complexes._link_homology(cplx, field)]
+
+
 def test_link_routes_match_link_sweep_oracle():
     # up to eleven minimal generators of degree 2 or 3: complexes with many
-    # facets, whose links the engine builds inline and the oracle on its own
+    # facets, whose links the engine builds inline and the oracle on its own;
+    # every fifth ideal gains a variable in no generator, which makes its
+    # complex a cone on that vertex, so the sweep skips the empty face
     rng = random.Random(23)
-    seen = {"cm": set(), "depth": set(), "gens": set()}
-    for case in range(80):
+    fields = (QQ, GF(2), GF(3))
+    seen = {"cm": set(), "depth": set(), "gens": set(), "field": set()}
+    cases, pruned = 90, 0
+    for case in range(cases):
         n = rng.randint(4, 9)
         gens = []
         for _ in range(rng.randint(2, 12)):
@@ -434,18 +443,44 @@ def test_link_routes_match_link_sweep_oracle():
             # every eighth ideal has a square, so depth goes through polarization
             power = 2 if case % 8 == 0 and not gens else 1
             gens.append(tuple(power if v == supp[0] else 1 if v in supp else 0 for v in range(n)))
-        ideal = MonomialIdeal(make_context(n), gens)
+        apex = case % 5 == 4
+        if apex:
+            gens = [g + (0,) for g in gens]
+        ideal = MonomialIdeal(make_context(n + apex), gens)
         seen["gens"].add(len(ideal.gens))
-        field = (QQ, GF(2))[case % 2]
+        field = fields[case % 3]
+        seen["field"].add((str(field), apex))
         d = depth_via_local_cohomology(ideal, field)
         assert d == depth_by_link_sweep(ideal, field)
         seen["depth"].add(d)
+        c = complex_of(ideal.polarize()[0])
+        sizes = _swept_sizes(c, field)
+        assert len(sizes) <= len(c.faces())
+        pruned += len(sizes) < len(c.faces())
+        common = c.facets[0]
+        for f in c.facets:
+            common &= f
+        assert (0 in sizes) == (common == 0)  # the empty face is swept iff the complex is no cone
         if ideal.is_squarefree():
-            c = complex_of(ideal)
             cm = is_cohen_macaulay(c, field)
             assert cm == cohen_macaulay_by_link_sweep(c, field)
             seen["cm"].add(cm)
     assert seen["cm"] == {True, False} and len(seen["depth"]) >= 5 and max(seen["gens"]) >= 10
+    assert len(seen["field"]) == 6  # every field, with and without an apex
+    assert pruned >= cases * 3 // 4, pruned  # a sweep of every face cannot pass
+    # a pseudomanifold, where every face is an intersection of facets, whose
+    # CM verdict turns on the field; and a simplex and {()}, one facet each
+    for c, field in [(rp2(), QQ), (rp2(), GF(2))]:
+        assert len(_swept_sizes(c, field)) == len(c.faces())
+        assert is_cohen_macaulay(c, field) == cohen_macaulay_by_link_sweep(c, field)
+        ideal = nonface_ideal(c)
+        assert depth_via_local_cohomology(ideal, field) == depth_by_link_sweep(ideal, field)
+    for gens in ([(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+        ideal = MonomialIdeal(make_context(len(gens[0])), gens)
+        c = complex_of(ideal)
+        assert len(c.facets) == 1 and _swept_sizes(c, GF(3)) == [c.facets[0].bit_count()]
+        for field in fields:
+            assert depth_via_local_cohomology(ideal, field) == depth_by_link_sweep(ideal, field)
 
 
 def test_simplex_is_cohen_macaulay():
