@@ -84,12 +84,12 @@ class SimplicialComplex:
         return sorted(seen)
 
     def faces_by_dim(self):
-        """Faces grouped by cardinality: list where entry k holds |face|=k."""
+        """Faces grouped by cardinality: list where entry k holds |face|=k, sorted."""
         by = {}
         for f in self.faces():
             by.setdefault(f.bit_count(), []).append(f)
         top = max(by) if by else -1
-        return [sorted(by.get(k, [])) for k in range(top + 1)]
+        return [by.get(k, []) for k in range(top + 1)]
 
     def __eq__(self, other):
         return (
@@ -124,19 +124,22 @@ def complex_of(ideal):
 
 
 def boundary_matrix(lower, upper):
-    """Boundary matrix from faces `upper` (size k+1) to faces `lower` (size k).
+    """Boundary map from faces `upper` (size k+1) to faces `lower` (size k).
 
-    Entry signs follow the position of the removed vertex, ascending.
+    One sparse column {index in lower: +-1} per face of `upper`: its
+    boundary, with signs alternating in the position of the removed
+    vertex, +1 for the lowest.
     """
     index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        sign, rest = 1, f
+    columns = []
+    for f in upper:
+        col, sign, rest = {}, 1, f
         while rest:
             v = rest & -rest  # the lowest vertex not yet removed
-            rows[index[f & ~v]][j] = sign
+            col[index[f & ~v]] = sign
             sign, rest = -sign, rest & ~v
-    return rows
+        columns.append(col)
+    return columns
 
 
 def reduced_homology(cplx, field):
@@ -187,8 +190,8 @@ def _homology_by_boundary_matrices(cplx, field):
     # cardinality k sit in homological degree k - 1.
     ranks = {}
     for k in range(1, top + 1):
-        m = boundary_matrix(layers[k - 1], layers[k])
-        ranks[k] = rank(m, field) if layers[k] else 0
+        columns = boundary_matrix(layers[k - 1], layers[k])
+        ranks[k] = rank(columns, len(layers[k - 1]), field)
     out = {}
     for k in range(0, top + 1):  # homological degree i = k - 1
         dim_ck = len(layers[k])

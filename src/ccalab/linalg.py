@@ -1,10 +1,8 @@
 """Exact linear algebra over the rationals and prime fields.
 
-No floating point anywhere.  Ranks of integer matrices come from one
-fraction-free elimination, `rank`: Bareiss over Q, the same row update
-reduced mod p over F_p.  Everything else goes through one sparse echelon,
-Subspace, which keeps a fully reduced basis, so equal subspaces compare
-equal.
+No floating point anywhere.  Every rank, solve and membership test goes
+through one sparse echelon, Subspace, which keeps a fully reduced basis,
+so equal subspaces compare equal; `rank` is the dimension of a Subspace.
 """
 
 from __future__ import annotations
@@ -104,51 +102,6 @@ def parse_field(text):
     raise ValueError(f"cannot parse field {text!r}")
 
 
-def rank(rows, field):
-    """Rank of an integer matrix over the given field, by fraction-free elimination.
-
-    Each row below the pivot row becomes mrc*row - mic*pivot_row.  Over Q
-    the new entries are divided exactly by the previous pivot (Bareiss);
-    over F_p they are reduced mod p and the previous pivot stays 1.
-
-    >>> rank([[1, 1], [1, 3]], QQ), rank([[1, 1], [1, 3]], GF(2))
-    (2, 1)
-    """
-    p = field.p
-    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(nc):
-        for i in range(r, nr):
-            if m[i][c]:
-                break
-        else:
-            continue
-        m[r], m[i] = m[i], m[r]
-        row_r = m[r]
-        mrc = row_r[c]
-        for row_i in m[r + 1:]:
-            mic = row_i[c]
-            if not mic and mrc == prev:
-                continue  # the update would leave the row unchanged
-            if p:
-                for j in range(c + 1, nc):
-                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) % p
-            else:
-                for j in range(c + 1, nc):
-                    # Bareiss condensation: the division is exact
-                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) // prev
-        if not p:
-            prev = mrc
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
 class Subspace:
     """A subspace of field^ambient, kept as a sparse, fully reduced echelon basis.
 
@@ -180,13 +133,12 @@ class Subspace:
         p = self.field.p
         items = v.items() if isinstance(v, dict) else enumerate(v)
         if p:
-            out = {j: x % p for j, x in items}
-        else:
-            out = {
-                j: x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-                for j, x in items
-            }
-        return {j: x for j, x in out.items() if x}
+            return {j: y for j, x in items if (y := x % p)}
+        return {
+            j: x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+            for j, x in items
+            if x
+        }
 
     def reduce(self, v):
         """Sparse residual of v after eliminating every basis pivot.
@@ -245,6 +197,17 @@ def _sub_multiple(v, c, row, p):
             v[j] = y
         else:
             v.pop(j, None)
+
+
+def rank(rows, ncols, field):
+    """Rank over the field of the rows, dense or sparse vectors in field^ncols.
+
+    It is the dimension of their span, a Subspace.
+
+    >>> rank([[1, 1], [1, 3]], 2, QQ), rank([[1, 1], [1, 3]], 2, GF(2))
+    (2, 1)
+    """
+    return Subspace(field, ncols, rows).dim
 
 
 def nullspace(rows, ncols, field):

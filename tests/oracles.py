@@ -3,11 +3,13 @@
 These deliberately avoid the production code paths they check: membership
 sweeps over all monomials up to a degree bound, subset enumeration for
 complexes and for their non-face ideals (the reference for the round trip
-through complex_of), reduced homology from the boundary matrices of the
-complex itself (the engine's original route, the reference for its cone
-and nerve shortcuts), a Betti sweep that computes every subset's restriction afresh
-by that route, the engine's original link sweep (each link built on its own and
-its dimension read from the link) for both depth by local cohomology and
+through complex_of), reduced homology from the dense boundary matrices of
+the complex itself, ranked by a fraction-free elimination (the engine's
+original route and rank routine, the reference for its cone and nerve
+shortcuts and for its sparse columns and ranks), a Betti sweep that
+computes every subset's restriction afresh by that route, the engine's
+original link sweep (each link built on its own and its dimension read
+from the link) for both depth by local cohomology and
 Reisner's test, exhaustive prime enumeration for minimal primes, the
 engine's original unmixed part (primary components grouped from the
 irreducible ones) and irredundance loop (each component against the
@@ -32,8 +34,8 @@ the products of their generators as the reference for the closure loop.
 from fractions import Fraction
 from itertools import combinations
 
-from ccalab.complexes import BettiTable, SimplicialComplex, boundary_matrix, complex_of
-from ccalab.linalg import QQ, Subspace, rank
+from ccalab.complexes import BettiTable, SimplicialComplex, complex_of
+from ccalab.linalg import QQ, Subspace
 from ccalab.monomial import Monomial, MonomialIdeal, intersect_all, monomials_of_degree
 from ccalab.polys import p_degree, p_in_ideal, p_linear, p_of_monomial
 from ccalab.pullback import (
@@ -141,8 +143,71 @@ def nonface_ideal(cplx):
     return MonomialIdeal(cplx.context, [tuple((m >> k) & 1 for k in range(n)) for m in nonfaces])
 
 
+def rank_by_bareiss(rows, field):
+    """Rank of an integer matrix over the given field, by fraction-free elimination.
+
+    Each row below the pivot row becomes mrc*row - mic*pivot_row.  Over Q
+    the new entries are divided exactly by the previous pivot (Bareiss);
+    over F_p they are reduced mod p and the previous pivot stays 1.
+    """
+    p = field.p
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    if not m or not m[0]:
+        return 0
+    nr, nc = len(m), len(m[0])
+    r = 0
+    prev = 1
+    for c in range(nc):
+        for i in range(r, nr):
+            if m[i][c]:
+                break
+        else:
+            continue
+        m[r], m[i] = m[i], m[r]
+        row_r = m[r]
+        mrc = row_r[c]
+        for row_i in m[r + 1:]:
+            mic = row_i[c]
+            if not mic and mrc == prev:
+                continue  # the update would leave the row unchanged
+            if p:
+                for j in range(c + 1, nc):
+                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) % p
+            else:
+                for j in range(c + 1, nc):
+                    # Bareiss condensation: the division is exact
+                    row_i[j] = (mrc * row_i[j] - mic * row_r[j]) // prev
+        if not p:
+            prev = mrc
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def dense_boundary_matrix(lower, upper):
+    """Dense boundary matrix from faces `upper` (size k+1) to faces `lower` (size k).
+
+    Row i is lower[i] and column j is upper[j].  Entry signs follow the
+    position of the removed vertex, ascending.
+    """
+    index = {f: i for i, f in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for j, f in enumerate(upper):
+        sign, rest = 1, f
+        while rest:
+            v = rest & -rest  # the lowest vertex not yet removed
+            rows[index[f & ~v]][j] = sign
+            sign, rest = -sign, rest & ~v
+    return rows
+
+
 def homology_by_boundary_matrices(cplx, field):
-    """Ranks {i: dim H~_i} for i = -1 .. dim from the complex's own boundary matrices."""
+    """Ranks {i: dim H~_i} for i = -1 .. dim from the complex's own boundary matrices.
+
+    The matrices are dense_boundary_matrix and their ranks rank_by_bareiss,
+    so neither the engine's sparse columns nor its echelon is used.
+    """
     layers = cplx.faces_by_dim()  # layers[k] = faces of cardinality k
     top = len(layers) - 1
     # Boundary maps are indexed by face cardinality, not by dimension:
@@ -150,8 +215,8 @@ def homology_by_boundary_matrices(cplx, field):
     # cardinality k sit in homological degree k - 1.
     ranks = {}
     for k in range(1, top + 1):
-        m = boundary_matrix(layers[k - 1], layers[k])
-        ranks[k] = rank(m, field) if layers[k] else 0
+        m = dense_boundary_matrix(layers[k - 1], layers[k])
+        ranks[k] = rank_by_bareiss(m, field) if layers[k] else 0
     out = {}
     for k in range(0, top + 1):  # homological degree i = k - 1
         dim_ck = len(layers[k])

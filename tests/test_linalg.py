@@ -18,7 +18,7 @@ from ccalab.linalg import (
 )
 from ccalab.monomial import make_context
 
-from oracles import DenseSubspace, dense_nullspace
+from oracles import DenseSubspace, dense_boundary_matrix, dense_nullspace, rank_by_bareiss
 from test_complexes import rp2
 
 FIELDS = (QQ, GF(2), GF(3), GF(5))
@@ -62,22 +62,26 @@ def test_parse_field():
 
 def test_rank_int_known():
     m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert rank(m, QQ) == 2
-    assert rank([[0, 0], [0, 0]], QQ) == 0
-    assert rank([[1]], QQ) == 1
-    assert rank([], QQ) == 0
+    assert rank(m, 3, QQ) == 2
+    assert rank([[0, 0], [0, 0]], 2, QQ) == 0
+    assert rank([[1]], 1, QQ) == 1
+    assert rank([], 0, QQ) == 0
+    assert rank([], 3, QQ) == 0
+    # sparse rows, as boundary_matrix builds them
+    assert rank([{0: 2, 2: -1}, {1: 3}, {0: 4, 1: 3, 2: -2}], 3, QQ) == 2
 
 
 def test_rank_mod_p_differs_from_rational():
     # rank 2 over Q, rank 1 over F_2
     m = [[1, 1], [1, 3]]
-    assert rank(m, QQ) == 2
-    assert rank(m, GF(2)) == 1
+    assert rank(m, 2, QQ) == 2
+    assert rank(m, 2, GF(2)) == 1
 
 
 def _boundary_matrices():
-    """Boundary matrices of rp2 and a few random complexes, as the boundary-matrix
-    route of reduced homology builds them."""
+    """Boundary maps of rp2 and a few random complexes: the sparse columns the
+    boundary-matrix route of reduced homology ranks, their ambient dimension
+    and the dense matrix of the same map."""
     rng = random.Random(17)
     complexes = [rp2()]
     for _ in range(6):
@@ -87,7 +91,8 @@ def _boundary_matrices():
     for c in complexes:
         layers = c.faces_by_dim()
         for k in range(1, len(layers)):
-            yield boundary_matrix(layers[k - 1], layers[k])
+            lower, upper = layers[k - 1], layers[k]
+            yield boundary_matrix(lower, upper), len(lower), dense_boundary_matrix(lower, upper)
 
 
 def test_rank_random_cross_check():
@@ -105,16 +110,23 @@ def test_rank_random_cross_check():
         base = matrix(rng.randint(0, min(rows, cols) - 1), cols, 9)
         coeffs = matrix(rows, len(base), 3)
         m = [[sum(a * b[j] for a, b in zip(row, base)) for j in range(cols)] for row in coeffs]
-        assert rank(m, QQ) < min(rows, cols)
+        assert rank(m, cols, QQ) < min(rows, cols)
         cases.append(m)
-    # the dense Fraction / mod-p echelon as the independent oracle; over F_5
-    # and F_7 the pivot is often not 1, so rows with a zero entry still update
+    # two independent oracles: the fraction-free elimination, where over F_5
+    # and F_7 the pivot is often not 1 so rows with a zero entry still update,
+    # and the dense Fraction / mod-p echelon
+    fields = (QQ, GF(2), GF(3), GF(5), GF(7))
     for m in cases:
-        for field in (QQ, GF(2), GF(3), GF(5), GF(7)):
-            assert rank(m, field) == DenseSubspace(field, len(m[0]), m).dim
-    for m in _boundary_matrices():
-        for field in (QQ, GF(2), GF(3)):
-            assert rank(m, field) == DenseSubspace(field, len(m[0]), m).dim
+        for field in fields:
+            r = rank(m, len(m[0]), field)
+            assert r == rank_by_bareiss(m, field) == DenseSubspace(field, len(m[0]), m).dim
+    for columns, ncols, dense_rows in _boundary_matrices():
+        # column j is column j of the dense matrix, its zeros dropped
+        assert columns == [{i: x for i, x in enumerate(col) if x} for col in zip(*dense_rows)]
+        for field in fields:
+            r = rank(columns, ncols, field)
+            assert r == rank_by_bareiss(dense_rows, field)
+            assert r == DenseSubspace(field, len(dense_rows[0]), dense_rows).dim
 
 
 def test_subspace_canonical_equality():
