@@ -110,9 +110,6 @@ class Monomial:
     def support_mask(self):
         return exps_support_mask(self.exps)
 
-    def support(self):
-        return frozenset(i for i, e in enumerate(self.exps) if e)
-
     def is_one(self):
         return not any(self.exps)
 
@@ -277,11 +274,6 @@ class MonomialIdeal:
     def __contains__(self, m):
         return self.contains(m)
 
-    def contains_ideal(self, other):
-        """other is contained in self."""
-        self._check(other)
-        return all(self.contains(g) for g in other.gens)
-
     def _check(self, other):
         if self.context != other.context:
             raise ContextMismatchError("ideals live in different contexts")
@@ -336,13 +328,20 @@ class MonomialIdeal:
         A monomial prime (x_i : i in S) contains I iff S meets the support
         of every generator, so the minimal primes are the minimal vertex
         covers of the generator supports (a generator and its radical have
-        the same support).  The zero ideal has the zero ideal (empty
-        support) as its unique minimal prime; the unit ideal is rejected.
+        the same support).  They are built one generator at a time, from
+        two lattice identities: (J cap K) + (m) = (J + m) cap (K + m), and
+        J + (uv) = (J + u) cap (J + v) for coprime u, v.  So a prime that
+        meets the next support stays, and any other one grows by each
+        variable of it.  The zero ideal has the zero ideal (empty support)
+        as its unique minimal prime; the unit ideal is rejected.
+
+        >>> ctx = VarContext(("x", "y", "z"))
+        >>> MonomialIdeal.from_strings(ctx, ["x*y", "y*z", "x*z"]).minimal_primes()
+        [(x,y), (x,z), (y,z)]
         """
         if self.is_unit():
             raise UnitIdealError("unit ideal has no minimal primes")
-        supports = _minimal_masks([g.support_mask() for g in self.gens])
-        covers = _minimal_covers(tuple(supports))
+        covers = _minimal_covers(_minimal_masks([g.support_mask() for g in self.gens]))
         return [
             MonomialPrime(self.context, c)
             for c in sorted(covers, key=lambda m: (m.bit_count(), m))
@@ -369,43 +368,47 @@ class MonomialIdeal:
     def irreducible_decomposition(self):
         """Irredundant irreducible components (pure-power-generated ideals).
 
-        Standard splitting: pick a generator m = x^a * rest with mixed
-        support and split I = (I + (x^a)) cap (I + (rest)); recurse.
+        Built one generator x^a at a time by the rule of `minimal_primes`
+        on pure powers, from the same two identities: (J cap K) + (m) =
+        (J + m) cap (K + m), and J + (uv) = (J + u) cap (J + v) for coprime
+        u, v.  A component that contains x^a stays; any other component C
+        becomes C + (x_i^{a_i}) for each i in supp a; and every component
+        that contains another is dropped.  A component is stored as its
+        vector of pure-power exponents, 0 where a variable is absent.
 
         >>> ctx = VarContext(("x", "y"))
         >>> MonomialIdeal.from_strings(ctx, ["x*y"]).irreducible_decomposition()
         [(y), (x)]
+        >>> MonomialIdeal.from_strings(ctx, ["x^2", "x*y"]).irreducible_decomposition()
+        [(y, x^2), (x)]
         """
         if self.is_unit() or self.is_zero():
             raise (UnitIdealError if self.is_unit() else ZeroIdealError)(
                 "decomposition needs a proper nonzero ideal"
             )
-        components = []
-        stack = [self]
-        seen = set()
-        while stack:
-            J = stack.pop()
-            if J in seen:
-                continue
-            seen.add(J)
-            split = None
-            for g in J.gens:
-                supp = sorted(g.support())
-                if len(supp) >= 2:
-                    i = supp[0]
-                    a = g.exps[i]
-                    left = Monomial.variable(self.context.n, i, a)
-                    right = g // Monomial.variable(self.context.n, i, a)
-                    split = (left, right)
-                    break
-            if split is None:
-                components.append(J)
-            else:
-                left, right = split
-                stack.append(MonomialIdeal(self.context, J.gens + (left,)))
-                stack.append(MonomialIdeal(self.context, J.gens + (right,)))
-        components = sorted(set(components), key=lambda c: tuple(map(_canon_key, c.gens)))
-        return _irredundant(components)
+        n = self.context.n
+        components = [(0,) * n]
+        for g in self.gens:
+            a = g.exps
+            kept = [c for c in components if any(0 < ci <= ai for ci, ai in zip(c, a))]
+            grown = {
+                c[:i] + (ai,) + c[i + 1 :]
+                for c in components
+                if c not in kept
+                for i, ai in enumerate(a)
+                if ai
+            }
+            components = kept + list(grown)
+            components = [
+                c
+                for c in components
+                if not any(d != c and _component_contains(c, d) for d in components)
+            ]
+        ideals = [
+            MonomialIdeal(self.context, [Monomial.variable(n, i, e) for i, e in enumerate(c) if e])
+            for c in components
+        ]
+        return sorted(ideals, key=lambda c: tuple(map(_canon_key, c.gens)))
 
     def unmixed_part(self):
         """Intersection of the primary components at the minimal primes.
@@ -506,27 +509,21 @@ class MonomialPrime:
         return "(" + ",".join(self.variable_names()) + ")"
 
 
-def _minimal_covers(supports, _memo=None):
-    """Minimal vertex covers (as masks) of a list of support masks."""
-    if _memo is None:
-        _memo = {}
-    if not supports:
-        return [0]
-    key = supports
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    pivot = min(supports, key=int.bit_count)
-    out = []
-    for v in range(pivot.bit_length()):
-        if not (pivot >> v) & 1:
-            continue
-        rest = tuple(s for s in supports if not (s >> v) & 1)
-        for c in _minimal_covers(rest, _memo):
-            out.append(c | (1 << v))
-    result = _minimal_masks(out)
-    _memo[key] = result
-    return result
+def _minimal_covers(supports):
+    """Minimal vertex covers (as masks) of support masks sorted by size.
+
+    Berge's rule: a cover of the supports so far that meets the next one
+    stays, and every other cover grows by each vertex of it.  A kept
+    cover never contains a grown one, so only the grown covers are
+    minimalised and checked against the kept ones.
+    """
+    covers = [0]
+    for edge in supports:
+        vertices = [1 << v for v in range(edge.bit_length()) if (edge >> v) & 1]
+        kept = [c for c in covers if c & edge]
+        grown = _minimal_masks(c | v for c in covers if not c & edge for v in vertices)
+        covers = kept + [g for g in grown if not any(k & g == k for k in kept)]
+    return covers
 
 
 def _minimal_masks(masks):
@@ -538,17 +535,9 @@ def _minimal_masks(masks):
     return out
 
 
-def _irredundant(components):
-    """Keep the components that contain no other one, in input order.
-
-    Monomial ideals form a distributive lattice under cap and +, where an
-    irreducible ideal is meet-prime: it contains A cap B only if it
-    contains A or B.  So a component contains the intersection of the
-    others iff it contains one of them.  The input has no repeats.
-    """
-    return [
-        c for c in components if not any(d is not c and c.contains_ideal(d) for d in components)
-    ]
+def _component_contains(c, d):
+    """The component with pure-power vector c contains the one with d."""
+    return all(0 < ci <= di for ci, di in zip(c, d) if di)
 
 
 def intersect_all(ideals):

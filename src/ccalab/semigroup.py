@@ -21,6 +21,7 @@ from .report import VerificationReport
 
 DEFAULT_PRECISION = 40
 DEFAULT_MARGIN = 10
+MAX_TABLE = 1 << 20
 
 
 def _extend_sieve(table, gens, length):
@@ -34,6 +35,8 @@ class NumericalSemigroup:
 
     The member table runs past the Frobenius number (Brauer: it is below
     min(gens) * max(gens)), so every x beyond the table is a member.
+    Minimal generators that need a table of more than MAX_TABLE entries
+    are refused with ValueError.
     """
 
     __slots__ = ("gens", "_table")
@@ -54,7 +57,10 @@ class NumericalSemigroup:
             for a in gens
             if not any(table[a - b] for b in gens if 0 < b < a)
         ]
-        _extend_sieve(table, minimal, minimal[0] * minimal[-1] + minimal[-1] + 2)
+        length = minimal[0] * minimal[-1] + minimal[-1] + 2
+        if length > MAX_TABLE:
+            raise ValueError(f"member table of {length} entries is over the limit of {MAX_TABLE}")
+        _extend_sieve(table, minimal, length)
         object.__setattr__(self, "gens", tuple(minimal))
         object.__setattr__(self, "_table", table)
 

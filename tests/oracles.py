@@ -11,10 +11,12 @@ computes every subset's restriction afresh by that route, the engine's
 original link sweep (each link built on its own and its dimension read
 from the link) for both depth by local cohomology and
 Reisner's test, exhaustive prime enumeration for minimal primes, the
-engine's original unmixed part (primary components grouped from the
-irreducible ones) and irredundance loop (each component against the
-intersection of the others) as the references for the rules read off
-the generators and for irredundance by inclusion, a dense
+engine's original splitting loop for irreducible components (with its
+irredundance by inclusion, itself checked against the older loop that
+tests each component against the intersection of the others) as the
+reference for the components built one generator at a time, the
+engine's original unmixed part (primary components grouped from those
+split ones) as the reference for the rule read off the generators, a dense
 echelon (the engine's original one) as the reference for the sparse one,
 the engine's original element algebra of B (`BElement`, with its
 coefficient-matching membership test) and its lift route
@@ -36,7 +38,14 @@ from itertools import combinations
 
 from ccalab.complexes import BettiTable, SimplicialComplex, complex_of
 from ccalab.linalg import QQ, Subspace
-from ccalab.monomial import Monomial, MonomialIdeal, intersect_all, monomials_of_degree
+from ccalab.errors import UnitIdealError, ZeroIdealError
+from ccalab.monomial import (
+    Monomial,
+    MonomialIdeal,
+    _canon_key,
+    intersect_all,
+    monomials_of_degree,
+)
 from ccalab.polys import p_degree, p_in_ideal, p_linear, p_of_monomial
 from ccalab.pullback import (
     CokernelProfile,
@@ -101,10 +110,72 @@ def unmixed_part_by_primary_components(i):
     are intersected.
     """
     groups = {}
-    for comp in i.irreducible_decomposition():
+    for comp in irreducible_decomposition_by_splitting(i):
         groups.setdefault(comp.radical_support_mask(), []).append(comp)
     minimal = [sum(1 << k for k in s) for s in minimal_primes_by_enumeration(i)]
     return intersect_all([intersect_all(groups[mask]) for mask in minimal])
+
+
+def components_by_splitting(i):
+    """The engine's original splitting loop, before its irredundance pass.
+
+    Standard splitting: pick a generator m = x^a * rest with mixed
+    support and split I = (I + (x^a)) cap (I + (rest)); recurse.  Returns
+    every leaf once, sorted, redundant ones included.
+    """
+    if i.is_unit() or i.is_zero():
+        raise (UnitIdealError if i.is_unit() else ZeroIdealError)(
+            "decomposition needs a proper nonzero ideal"
+        )
+    components = []
+    stack = [i]
+    seen = set()
+    while stack:
+        J = stack.pop()
+        if J in seen:
+            continue
+        seen.add(J)
+        split = None
+        for g in J.gens:
+            supp = [k for k, e in enumerate(g.exps) if e]
+            if len(supp) >= 2:
+                k = supp[0]
+                a = g.exps[k]
+                left = Monomial.variable(i.context.n, k, a)
+                right = g // Monomial.variable(i.context.n, k, a)
+                split = (left, right)
+                break
+        if split is None:
+            components.append(J)
+        else:
+            left, right = split
+            stack.append(MonomialIdeal(i.context, J.gens + (left,)))
+            stack.append(MonomialIdeal(i.context, J.gens + (right,)))
+    return sorted(set(components), key=lambda c: tuple(map(_canon_key, c.gens)))
+
+
+def _contains_ideal(big, small):
+    return all(big.contains(g) for g in small.gens)
+
+
+def irredundant_by_inclusion(components):
+    """The engine's original irredundance pass, after the splitting loop.
+
+    Keeps the components that contain no other one, in input order.
+
+    Monomial ideals form a distributive lattice under cap and +, where an
+    irreducible ideal is meet-prime: it contains A cap B only if it
+    contains A or B.  So a component contains the intersection of the
+    others iff it contains one of them.  The input has no repeats.
+    """
+    return [
+        c for c in components if not any(d is not c and _contains_ideal(c, d) for d in components)
+    ]
+
+
+def irreducible_decomposition_by_splitting(i):
+    """The irredundant irreducible components by the engine's original route."""
+    return irredundant_by_inclusion(components_by_splitting(i))
 
 
 def irredundant_by_intersections(components):
@@ -118,7 +189,7 @@ def irredundant_by_intersections(components):
     while changed and len(comps) > 1:
         changed = False
         for k in range(len(comps)):
-            if comps[k].contains_ideal(intersect_all(comps[:k] + comps[k + 1 :])):
+            if _contains_ideal(comps[k], intersect_all(comps[:k] + comps[k + 1 :])):
                 comps.pop(k)
                 changed = True
                 break

@@ -116,6 +116,10 @@ def test_semigroup_command():
     assert data["symmetric"] is True
     res_bad = run("semigroup", "--gens", "4,6")
     assert res_bad.exit_code == 2
+    # a member table of about 10^10 entries is refused before it is built
+    res_big = run("semigroup", "--gens", "100000,100001")
+    assert res_big.exit_code == 2
+    assert len(res_big.output.strip().splitlines()) == 1
 
 
 def test_subalgebra_command():

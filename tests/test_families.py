@@ -29,6 +29,16 @@ def indexed(n, index_sets):
 OVERLAP = [[1, 2, 3, 4], [3, 4, 5, 6], [5, 6, 1, 2]]
 
 
+def grid(ell, m):
+    """ell disjoint m-subsets."""
+    return indexed(ell * m, [range(k * m + 1, k * m + m + 1) for k in range(ell)])
+
+
+def chain(m, q):
+    """F_1 = {1..m}, F_2 = {q..q+m-1}, F_3 = {2q-1..2q+m-2}, on n = 2q+m-2 variables."""
+    return indexed(2 * q + m - 2, [range(s, s + m) for s in (1, q, 2 * q - 1)])
+
+
 # -- families -------------------------------------------------------------------
 
 
@@ -61,6 +71,17 @@ def test_defining_ideal_has_the_components_as_minimal_primes():
     got = {frozenset(p.variable_names()) for p in defining.minimal_primes()}
     assert got == {frozenset(f"x{i}" for i in s) for s in OVERLAP}
     assert defining.associated_primes() == defining.minimal_primes()
+
+
+@pytest.mark.parametrize(
+    "make, a, b",
+    [(grid, 3, 6), (grid, 4, 5), (chain, 12, 6)],
+    ids=["grid-3-6", "grid-4-5", "chain-12-6"],
+)
+def test_minimal_primes_past_sixteen_variables(make, a, b):
+    # n = 18, 20 and 22: minimal_primes has no vertex limit, unlike SimplicialComplex
+    fam = make(a, b)
+    assert fam.defining_ideal().minimal_primes() == list(fam.primes)
 
 
 def test_primes_are_intersected_once_per_family(monkeypatch):

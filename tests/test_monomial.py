@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from ccalab import monomial
 from ccalab.errors import ContextMismatchError, UnitIdealError, ZeroIdealError
 from ccalab.monomial import (
     Monomial,
@@ -15,7 +14,10 @@ from ccalab.monomial import (
 from ccalab.suites import random_monomial_ideal
 
 from oracles import (
+    components_by_splitting,
     intersection_by_membership,
+    irreducible_decomposition_by_splitting,
+    irredundant_by_inclusion,
     irredundant_by_intersections,
     minimal_primes_by_enumeration,
     pure_powers_by_probing,
@@ -123,14 +125,35 @@ def test_minimal_primes_unit_rejected():
         MonomialIdeal.unit(CTX2).minimal_primes()
 
 
+def random_hypergraph(rng):
+    """0-10 edges on <= 12 vertices, some nested in others, some single vertices."""
+    n = rng.randint(1, 12)
+    edges = []
+    for _ in range(rng.randint(0, 10)):
+        if edges and rng.random() < 0.3:
+            edge = rng.choice(edges) | set(rng.sample(range(n), rng.randint(1, min(n, 2))))
+        else:
+            edge = set(rng.sample(range(n), rng.randint(1, min(n, 4))))
+        edges.append(frozenset(edge))
+    return n, edges
+
+
 def test_minimal_primes_random_against_enumeration():
     rng = random.Random(3)
     ctx = make_context(4)
-    for _ in range(30):
-        i = random_ideal(rng, ctx)
+    ideals = [random_ideal(rng, ctx) for _ in range(30)]
+    nested = singles = 0
+    for _ in range(500):
+        n, edges = random_hypergraph(rng)
+        nested += any(e < f for e in edges for f in edges)
+        singles += any(len(e) == 1 for e in edges)
+        gens = [Monomial(int(k in e) for k in range(n)) for e in edges]
+        ideals.append(MonomialIdeal(make_context(n), gens))
+    assert nested >= 50 and singles >= 50, (nested, singles)
+    for i in ideals:
         if i.is_unit():
             continue
-        got = [frozenset(ctx.index(v) for v in p.variable_names()) for p in i.minimal_primes()]
+        got = [frozenset(map(i.context.index, p.variable_names())) for p in i.minimal_primes()]
         assert sorted(got, key=sorted) == sorted(minimal_primes_by_enumeration(i), key=sorted)
 
 
@@ -172,7 +195,7 @@ def test_irreducible_decomposition_random_soundness():
             continue
         comps = i.irreducible_decomposition()
         for c in comps:
-            assert all(len(g.support()) == 1 for g in c.gens)
+            assert all(g.support_mask().bit_count() == 1 for g in c.gens)
         bound = 1 + i.max_gen_degree()
         assert same_members_up_to(i, intersect_all(comps), bound)
         # irredundance: dropping any component changes the intersection
@@ -227,48 +250,60 @@ def test_unmixed_part_contains_and_idempotent():
         if i.is_unit() or i.is_zero():
             continue
         u = i.unmixed_part()
-        assert u.contains_ideal(i)
+        assert u + i == u
         assert u.unmixed_part() == u
 
 
-def test_rules_off_the_generators_match_the_original_routes(monkeypatch):
-    """Minimal primes, unmixed part and irredundance against their references.
+def random_mixed_ideal(rng, max_gens):
+    """1-6 variables, 1-max_gens generators, each exponent 0 (probability 0.4) or 0-3."""
+    ctx = make_context(rng.randint(1, 6))
+    gens = [
+        Monomial(rng.randint(0, 3) * (rng.random() < 0.6) for _ in range(ctx.n))
+        for _ in range(rng.randint(1, max_gens))
+    ]
+    return MonomialIdeal(ctx, gens)
 
-    Random ideals on 1-6 variables with exponents <= 3.  Every component
-    list `_irredundant` receives is also run through the original loop,
-    and the run must reach both hard cases: ideals with embedded
-    components, and irredundance calls that drop a component.
+
+def test_rules_off_the_generators_match_the_original_routes():
+    """Minimal primes, unmixed part and components against their references.
+
+    Random ideals on 1-6 variables with exponents <= 3.  Each ideal's
+    split components are made irredundant by inclusion and by the
+    original intersection loop, and the run must reach both hard cases:
+    ideals with embedded components, and split component lists that
+    hold a redundant one.
     """
-    calls = []
-    irredundant = monomial._irredundant
-
-    def spy(components):
-        got = irredundant(components)
-        calls.append((list(components), got))
-        return got
-
-    monkeypatch.setattr(monomial, "_irredundant", spy)
     rng = random.Random(12)
-    tested = embedded = 0
+    tested = embedded = redundant = 0
     while tested < 400:
-        ctx = make_context(rng.randint(1, 6))
-        gens = [
-            Monomial(rng.randint(0, 3) * (rng.random() < 0.6) for _ in range(ctx.n))
-            for _ in range(rng.randint(1, 4))
-        ]
-        i = MonomialIdeal(ctx, gens)
+        i = random_mixed_ideal(rng, 4)
         if i.is_unit():
             continue
         tested += 1
-        got = [frozenset(ctx.index(v) for v in p.variable_names()) for p in i.minimal_primes()]
+        got = [frozenset(map(i.context.index, p.variable_names())) for p in i.minimal_primes()]
         assert sorted(got, key=sorted) == sorted(minimal_primes_by_enumeration(i), key=sorted)
         u = i.unmixed_part()
         assert u == unmixed_part_by_primary_components(i)
         embedded += u != i
-    for components, got in calls:
-        assert got == irredundant_by_intersections(components)
+        leaves = components_by_splitting(i)
+        components = irredundant_by_inclusion(leaves)
+        assert components == irredundant_by_intersections(leaves)
+        assert i.irreducible_decomposition() == components
+        redundant += len(components) < len(leaves)
     assert embedded >= 50
-    assert sum(len(got) < len(components) for components, got in calls) >= 50
+    assert redundant >= 50
+
+
+def test_irreducible_decomposition_matches_splitting():
+    # the components, in order, on 1-6 variables, exponents <= 3, <= 5 generators
+    rng = random.Random(26)
+    tested = 0
+    while tested < 1500:
+        i = random_mixed_ideal(rng, 5)
+        if i.is_unit():
+            continue
+        tested += 1
+        assert i.irreducible_decomposition() == irreducible_decomposition_by_splitting(i), i
 
 
 # -- polarization --------------------------------------------------------------
