@@ -19,7 +19,8 @@ Index conventions, fixed once and used by every caller and test:
   exists so the two can be cross-checked.
 * The link route and Reisner's test sweep only the faces that are
   intersections of facets (see _link_homology for why the rest are
-  acyclic).  The Betti route sweeps every vertex subset.
+  acyclic).  graded_betti sweeps every vertex subset; depth's Betti route,
+  projective_dimension, sweeps only the sets of vertex types (see there).
 
 The practical input cap is 16 vertices; every shipped family needs at
 most 10.
@@ -216,10 +217,6 @@ class BettiTable:
     def __setattr__(self, *a):
         raise AttributeError("BettiTable is immutable")
 
-    def projective_dimension_of_quotient(self):
-        """pd of T/I: one above the ideal's last Betti index (0 for an empty table)."""
-        return max((i for (i, _) in self.entries), default=-1) + 1
-
     def to_json(self):
         return {
             "vars": list(self.context.names),
@@ -272,13 +269,52 @@ def graded_betti(ideal, field):
 
 
 def projective_dimension(ideal, field):
-    """pd of T/I for a monomial ideal (polarizing if not squarefree)."""
+    """pd of T/I for a monomial ideal (polarizing if not squarefree).
+
+    The Betti route over vertex types, not graded_betti's 2^n subsets.
+    type(v) is the set of facets through v (empty off every facet).  In the
+    restriction to sigma, v is dominated by any w in sigma whose type holds
+    v's (every facet through v holds w), so deleting v is a strong collapse
+    (Barmak-Minian).  Hence H~ of the restriction depends only on the set U
+    of types in sigma: it is that of one vertex per maximal type in U.  As
+    H~_j != 0 gives beta[|sigma| - j - 2, sigma] != 0, the top index over
+    the sigma with type set U is read at the largest: every vertex whose
+    type is in U.
+
+    >>> from ccalab.linalg import QQ
+    >>> from ccalab.monomial import MonomialIdeal, make_context
+    >>> projective_dimension(MonomialIdeal.from_strings(make_context(4), ["x1*x2", "x3*x4"]), QQ)
+    2
+    """
     if ideal.is_unit():
         raise UnitIdealError("projective dimension of the zero ring")
     if ideal.is_zero():
         return 0
     sf, _added = ideal.polarize()
-    return graded_betti(sf, field).projective_dimension_of_quotient()
+    facets = complex_of(sf).facets
+    by_type = {}  # type, as a mask over facet indices -> mask of its vertices
+    for v in range(sf.context.n):
+        t = sum(1 << k for k, f in enumerate(facets) if f >> v & 1)
+        by_type[t] = by_type.get(t, 0) | 1 << v
+    types = list(by_type.items())
+    # above[k]: the indices of the types strictly holding type k
+    above = [sum(1 << l for l, (s, _) in enumerate(types) if s != t and s & t == t)
+             for t, _ in types]
+    homology = {}  # one vertex per maximal type -> reduced homology of its restriction
+    top = -1
+    for u in range(1 << len(types)):
+        size = kept = 0
+        for k, (_t, vertices) in enumerate(types):
+            if u >> k & 1:
+                size += vertices.bit_count()
+                if not above[k] & u:
+                    kept |= vertices & -vertices
+        hom = homology.get(kept)
+        if hom is None:
+            restriction = SimplicialComplex(sf.context, [f & kept for f in facets])
+            hom = homology[kept] = reduced_homology(restriction, field)
+        top = max([top] + [size - j - 2 for j, r in hom.items() if r])
+    return top + 1
 
 
 def depth(ideal, field):

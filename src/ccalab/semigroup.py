@@ -36,7 +36,8 @@ class NumericalSemigroup:
     The member table runs past the Frobenius number (Brauer: it is below
     min(gens) * max(gens)), so every x beyond the table is a member.
     Minimal generators that need a table of more than MAX_TABLE entries
-    are refused with ValueError.
+    are refused with ValueError.  Each generator is tested on the table of
+    the smaller minimal ones; the first past their Frobenius bound ends it.
     """
 
     __slots__ = ("gens", "_table")
@@ -45,18 +46,20 @@ class NumericalSemigroup:
         gens = sorted(set(int(g) for g in generators))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
-        g = 0
-        for a in gens:
-            g = gcd(g, a)
-        if g != 1:
+        if gcd(*gens) != 1:
             raise ValueError("generators must have gcd 1")
-        table = [True]
-        _extend_sieve(table, gens, gens[-1] + 1)
-        minimal = [
-            a
-            for a in gens
-            if not any(table[a - b] for b in gens if 0 < b < a)
-        ]
+        minimal, table = [], [True]
+        for a in gens:
+            if gcd(*minimal) == 1 and a >= minimal[0] * minimal[-1]:
+                break  # a and every later generator lie past the Frobenius number
+            if a >= MAX_TABLE:  # a is minimal, or the smaller ones leave a later minimal one
+                raise ValueError(
+                    f"member table of more than {a} entries is over the limit of {MAX_TABLE}"
+                )
+            _extend_sieve(table, minimal, a + 1)
+            if not table[a]:
+                minimal.append(a)
+                table[a] = True
         length = minimal[0] * minimal[-1] + minimal[-1] + 2
         if length > MAX_TABLE:
             raise ValueError(f"member table of {length} entries is over the limit of {MAX_TABLE}")

@@ -8,6 +8,8 @@ the complex itself, ranked by a fraction-free elimination (the engine's
 original route and rank routine, the reference for its cone and nerve
 shortcuts and for its sparse columns and ranks), a Betti sweep that
 computes every subset's restriction afresh by that route, the engine's
+original pd read off the top index of a Betti table (the reference for
+the sweep over vertex types), the engine's
 original link sweep (each link built on its own and its dimension read
 from the link) for both depth by local cohomology and
 Reisner's test, exhaustive prime enumeration for minimal primes, the
@@ -313,6 +315,11 @@ def betti_by_full_sweep(ideal, field):
             if r and size - j - 2 >= 0:
                 entries[(size - j - 2, mask)] = r
     return BettiTable(ideal.context, field, entries)
+
+
+def pd_by_betti_table(table):
+    """pd of T/I: one above the ideal's last Betti index (0 for an empty table)."""
+    return max((i for (i, _) in table.entries), default=-1) + 1
 
 
 def _links(cplx):

@@ -120,6 +120,17 @@ def test_semigroup_command():
     res_big = run("semigroup", "--gens", "100000,100001")
     assert res_big.exit_code == 2
     assert len(res_big.output.strip().splitlines()) == 1
+    # 10^10 lies past the Frobenius number of <1>, so no table reaches it
+    res_n = run("semigroup", "--gens", "1,10000000000")
+    assert res_n.exit_code == 0
+    assert json.loads(res_n.output) == {
+        "apery": [0],
+        "conductor": 0,
+        "frobenius": -1,
+        "gaps": [],
+        "minimal_generators": [1],
+        "symmetric": True,
+    }
 
 
 def test_subalgebra_command():

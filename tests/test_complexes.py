@@ -25,7 +25,9 @@ from oracles import (
     faces_by_membership,
     homology_by_boundary_matrices,
     nonface_ideal,
+    pd_by_betti_table,
 )
+from test_families import chain, grid
 
 CTX2 = VarContext(("x", "y"))
 CTX3 = VarContext(("a", "b", "c"))
@@ -255,7 +257,7 @@ def test_betti_principal_ideal():
 def test_betti_koszul_pattern():
     t = graded_betti(MonomialIdeal.from_strings(CTX2, ["x", "y"]), QQ)
     assert betti_total(t, 0) == 2 and betti_total(t, 1) == 1
-    assert t.projective_dimension_of_quotient() == 2
+    assert pd_by_betti_table(t) == 2
 
 
 def test_betti_overlap_family_pd_five():
@@ -308,7 +310,7 @@ def test_betti_of_maximal_ideal_is_koszul():
 
 def test_betti_of_zero_ideal_is_empty():
     t = graded_betti(MonomialIdeal.zero(make_context(4)), QQ)
-    assert t.entries == {} and t.projective_dimension_of_quotient() == 0
+    assert t.entries == {} and pd_by_betti_table(t) == 0
 
 
 def test_betti_shares_restrictions_within_one_call_only():
@@ -381,6 +383,90 @@ def test_projective_plane_depth_characteristic_split():
     ideal = nonface_ideal(rp2())
     assert depth(ideal, QQ) == 3
     assert depth(ideal, GF(2)) == 2
+
+
+def _vertex_types(ideal):
+    """How many distinct sets of facets pass through the vertices of the complex."""
+    facets = complex_of(ideal.polarize()[0]).facets
+    return len({tuple(f >> v & 1 for f in facets) for v in range(ideal.context.n)})
+
+
+def _spy_on_homology(monkeypatch):
+    calls = []
+
+    def spy(cplx, field):
+        calls.append(cplx)
+        return reduced_homology(cplx, field)
+
+    monkeypatch.setattr(complexes, "reduced_homology", spy)
+    return calls
+
+
+def test_pd_over_type_sets_matches_full_betti_sweep(monkeypatch):
+    # pd against 1 + the top index of the Betti table with every restriction
+    # computed afresh, and depth against n minus that; every fifth ideal has
+    # a square, so both go through polarization; the oracle's cost doubles
+    # per variable, so only every 25th ideal has 9 or 10 variables
+    rng = random.Random(27)
+    fields = (QQ, GF(2), GF(3))
+    pds, sizes, polarized = set(), set(), 0
+    for case in range(300):
+        n = rng.randint(9, 10) if case % 25 == 12 else rng.randint(3, 8)
+        gens = []
+        for _ in range(rng.randint(2, 10)):
+            supp = rng.sample(range(n), rng.randint(1, min(3, n)))
+            gens.append(tuple(1 if v in supp else 0 for v in range(n)))
+        ideal = MonomialIdeal(make_context(n), gens)
+        if case % 5 == 0:
+            # squaring a variable of a minimal generator keeps it minimal
+            first = list(ideal.gens[0].exps)
+            first[first.index(1)] = 2
+            ideal = MonomialIdeal(ideal.context, [first] + [g.exps for g in ideal.gens[1:]])
+        field = fields[case % 3]
+        sf, added = ideal.polarize()
+        polarized += added > 0
+        pd = pd_by_betti_table(betti_by_full_sweep(sf, field))
+        assert projective_dimension(ideal, field) == pd
+        assert depth(ideal, field) == n - pd
+        pds.add(pd)
+        sizes.add(n)
+    assert polarized == 60 and len(pds) >= 6 and sizes == set(range(3, 11))
+    # RP^2 plus a variable: the answer turns on the characteristic
+    ctx = make_context(7)
+    gens = [g.exps + (0,) for g in nonface_ideal(rp2()).gens] + [(0,) * 6 + (1,)]
+    ideal = MonomialIdeal(ctx, gens)
+    answers = []
+    for field in fields:
+        pd = pd_by_betti_table(betti_by_full_sweep(ideal, field))
+        assert projective_dimension(ideal, field) == pd and depth(ideal, field) == 7 - pd
+        answers.append(pd)
+    assert answers == [4, 5, 4]  # over Q, F_2 and F_3
+    # f-family shapes on 12-14 variables, too large for the oracle: few
+    # vertex types, so at most one homology per type set, far fewer than the
+    # 2^n subsets; pd against graded_betti's table where that takes under a
+    # second, and depth against the link route over every field
+    calls = _spy_on_homology(monkeypatch)
+    for fam, table_field in [(grid(4, 3), QQ), (chain(5, 5), GF(2)), (grid(7, 2), None)]:
+        ideal = fam.defining_ideal()
+        n, types = ideal.context.n, _vertex_types(ideal)
+        assert types <= 7 and 1 << types <= (1 << n) >> 6
+        for field in fields:
+            calls.clear()
+            pd = projective_dimension(ideal, field)
+            assert len(calls) <= 1 << types
+            assert depth(ideal, field) == n - pd == depth_via_local_cohomology(ideal, field)
+            if field is table_field:
+                assert pd == pd_by_betti_table(graded_betti(ideal, field))
+
+
+def test_pd_of_a_chain_makes_one_homology_per_type_set_at_most(monkeypatch):
+    # chain(8,5) has 16 vertices of 4 types: a sweep of the 2^16 subsets
+    # would make thousands of homology calls
+    ideal = chain(8, 5).defining_ideal()
+    assert ideal.context.n == 16 and _vertex_types(ideal) == 4
+    calls = _spy_on_homology(monkeypatch)
+    assert projective_dimension(ideal, QQ) == 11
+    assert 0 < len(calls) <= 1 << 4
 
 
 def test_auslander_buchsbaum_on_known_instances():

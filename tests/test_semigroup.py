@@ -58,6 +58,30 @@ def test_minimal_generators_pruned():
     assert h.gens == (4, 6, 13)
 
 
+def test_minimal_generators_against_independent_sieve():
+    # a generator is minimal iff the smaller ones do not reach it
+    rng = random.Random(48)
+    pruned = 0
+    for _ in range(200):
+        gens = sorted({rng.randint(2, 40) for _ in range(rng.randint(2, 6))})
+        if gcd(*gens) != 1:
+            continue
+        expected = tuple(a for a in gens if not sieve_semigroup([b for b in gens if b < a], a)[a])
+        assert NumericalSemigroup(gens).gens == expected
+        pruned += len(expected) < len(gens)
+    assert pruned >= 50
+
+
+def test_generators_past_the_table_limit():
+    # a generator past the Frobenius number of the smaller minimal ones is
+    # dropped unsieved; one that the smaller ones cannot reach is refused
+    assert NumericalSemigroup((1, 10**10)).gens == (1,)
+    h = NumericalSemigroup((3, 4, 10**12))
+    assert h.gens == (3, 4) and h.gaps() == (1, 2, 5)
+    with pytest.raises(ValueError, match="more than 10000000001 entries"):
+        NumericalSemigroup((4, 6, 10**10 + 1))
+
+
 def test_gcd_must_be_one():
     with pytest.raises(ValueError):
         NumericalSemigroup((4, 6))
