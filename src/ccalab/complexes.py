@@ -22,8 +22,8 @@ Index conventions, fixed once and used by every caller and test:
   acyclic).  graded_betti sweeps every vertex subset; depth's Betti route,
   projective_dimension, sweeps only the sets of vertex types (see there).
 
-The practical input cap is 16 vertices; every shipped family needs at
-most 10.
+Only a sweep of all 2^k subsets of k things (_subsets: the faces of a facet,
+graded_betti's sigma, projective_dimension's type sets) refuses k > 16.
 """
 
 from __future__ import annotations
@@ -33,6 +33,23 @@ from .linalg import rank
 from .monomial import make_context
 
 MAX_VERTICES = 16
+
+
+def _subsets(mask):
+    """Every submask of mask, ascending; ValueError past MAX_VERTICES bits."""
+    if mask.bit_count() > MAX_VERTICES:
+        raise ValueError(f"a sweep over 2^k subsets supports k <= {MAX_VERTICES}")
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def _types(facets, n):
+    """type(v) for each vertex v: the facets through v, as a mask of facet indices."""
+    return [sum(1 << k for k, f in enumerate(facets) if f >> v & 1) for v in range(n)]
 
 
 def _max_antichain(masks):
@@ -56,8 +73,6 @@ class SimplicialComplex:
 
     def __init__(self, context, facet_masks):
         object.__setattr__(self, "context", context)
-        if context.n > MAX_VERTICES:
-            raise ValueError(f"at most {MAX_VERTICES} vertices supported")
         object.__setattr__(self, "facets", _max_antichain(facet_masks))
 
     def __setattr__(self, *a):
@@ -76,12 +91,7 @@ class SimplicialComplex:
         """All faces as a sorted list of masks (includes 0 if non-void)."""
         seen = set()
         for f in self.facets:
-            sub = f
-            while True:  # every subset of the facet, down to the empty one
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
+            seen.update(_subsets(f))
         return sorted(seen)
 
     def faces_by_dim(self):
@@ -169,15 +179,9 @@ def reduced_homology(cplx, field):
     if common:
         return dict.fromkeys(range(-1, top + 1), 0)
     k = len(facets)
-    if k <= MAX_VERTICES and (1 << k) < sum(1 << f.bit_count() for f in facets):
+    if (1 << k) < sum(1 << f.bit_count() for f in facets):
         # a vertex in no facet gives the empty mask, which the antichain drops
-        nerve = SimplicialComplex(
-            make_context(k),
-            [
-                sum(1 << j for j, f in enumerate(facets) if f >> v & 1)
-                for v in range(cplx.context.n)
-            ],
-        )
+        nerve = SimplicialComplex(make_context(k), _types(facets, cplx.context.n))
         hom = _homology_by_boundary_matrices(nerve, field)
         return {i: hom.get(i, 0) for i in range(-1, top + 1)}
     return _homology_by_boundary_matrices(cplx, field)
@@ -253,7 +257,7 @@ def graded_betti(ideal, field):
         support |= f
     homology = {}  # tau -> reduced_homology of the restriction, this call only
     entries = {}
-    for sigma in range(1 << ideal.context.n):
+    for sigma in _subsets((1 << ideal.context.n) - 1):
         # restricting to sigma is restricting to tau = sigma & support, so the
         # homology is looked up per tau; only i = |sigma| - j - 2 reads sigma
         tau = sigma & support
@@ -293,8 +297,7 @@ def projective_dimension(ideal, field):
     sf, _added = ideal.polarize()
     facets = complex_of(sf).facets
     by_type = {}  # type, as a mask over facet indices -> mask of its vertices
-    for v in range(sf.context.n):
-        t = sum(1 << k for k, f in enumerate(facets) if f >> v & 1)
+    for v, t in enumerate(_types(facets, sf.context.n)):
         by_type[t] = by_type.get(t, 0) | 1 << v
     types = list(by_type.items())
     # above[k]: the indices of the types strictly holding type k
@@ -302,7 +305,7 @@ def projective_dimension(ideal, field):
              for t, _ in types]
     homology = {}  # one vertex per maximal type -> reduced homology of its restriction
     top = -1
-    for u in range(1 << len(types)):
+    for u in _subsets((1 << len(types)) - 1):
         size = kept = 0
         for k, (_t, vertices) in enumerate(types):
             if u >> k & 1:

@@ -11,24 +11,21 @@ from fractions import Fraction
 from .monomial import Monomial
 
 
-def p_mono(exps, coeff=1):
-    c = Fraction(coeff)
-    return {tuple(exps): c} if c else {}
+def p_mono(exps):
+    return {tuple(exps): Fraction(1)}
 
 
-def p_of_monomial(m, coeff=1):
-    return p_mono(m.exps, coeff)
+def p_of_monomial(m):
+    return p_mono(m.exps)
 
 
-def p_linear(n, indices, coeffs=None):
-    """Sum of variables x_i for i in indices (0-based), with optional coeffs."""
+def p_linear(n, indices):
+    """Sum of variables x_i for i in indices (0-based)."""
     out = {}
-    for k, i in enumerate(indices):
+    for i in indices:
         e = [0] * n
         e[i] = 1
-        c = Fraction(1 if coeffs is None else coeffs[k])
-        if c:
-            out[tuple(e)] = c
+        out[tuple(e)] = Fraction(1)
     return out
 
 

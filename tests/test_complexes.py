@@ -65,9 +65,27 @@ def test_facets_form_antichain():
     assert len(names) == 2
 
 
-def test_vertex_cap():
+def test_size_rule_caps_only_the_subset_sweeps(monkeypatch):
+    # a sweep of all 2^k subsets refuses k > 16; a complex on 17 vertices does not
+    ctx = make_context(17)
+    full = (1 << 17) - 1
+    ranked = []
+    real = complexes._homology_by_boundary_matrices
+
+    def spy(cplx, field):
+        ranked.append(cplx.context.n)
+        return real(cplx, field)
+
+    monkeypatch.setattr(complexes, "_homology_by_boundary_matrices", spy)
+    apart = SimplicialComplex(ctx, [0xFF, full & ~0xFF])  # x1..x8 and x9..x17
+    assert reduced_homology(apart, QQ)[0] == 1
+    assert ranked == [2]  # the nerve of the two facets, not the complex
     with pytest.raises(ValueError):
-        SimplicialComplex(make_context(17), ())
+        graded_betti(MonomialIdeal.from_strings(ctx, ["x1*x2"]), QQ)
+    with pytest.raises(ValueError):
+        SimplicialComplex(ctx, [full]).faces()
+    with pytest.raises(ValueError):  # 17 facets, so 17 vertex types
+        projective_dimension(MonomialIdeal.from_strings(ctx, ["*".join(ctx.names)]), QQ)
 
 
 # -- Stanley-Reisner dictionary ------------------------------------------------

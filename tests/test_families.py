@@ -1,5 +1,6 @@
 import pytest
 
+from ccalab.complexes import complex_of, depth, depth_via_local_cohomology, projective_dimension
 from ccalab.families import (
     ArtinianQuotient,
     f_family_report,
@@ -7,7 +8,7 @@ from ccalab.families import (
     k_plus_q_report,
     socle_and_type,
 )
-from ccalab.linalg import QQ
+from ccalab.linalg import GF, QQ
 from ccalab.monomial import MonomialIdeal, VarContext, intersect_all, make_context, sum_all
 from ccalab import pullback
 from ccalab.pullback import PullbackFamily
@@ -79,9 +80,23 @@ def test_defining_ideal_has_the_components_as_minimal_primes():
     ids=["grid-3-6", "grid-4-5", "chain-12-6"],
 )
 def test_minimal_primes_past_sixteen_variables(make, a, b):
-    # n = 18, 20 and 22: minimal_primes has no vertex limit, unlike SimplicialComplex
+    # n = 18, 20 and 22: only a sweep of 2^k subsets is limited, and none runs here
     fam = make(a, b)
-    assert fam.defining_ideal().minimal_primes() == list(fam.primes)
+    ideal = fam.defining_ideal()
+    n = ideal.context.n
+    assert ideal.minimal_primes() == list(fam.primes)
+    full = (1 << n) - 1
+    assert complex_of(ideal).facets == tuple(sorted(full & ~p.mask for p in fam.primes))
+    for field in (QQ, GF(2)):
+        d = depth(ideal, field)
+        assert d == depth_via_local_cohomology(ideal, field)
+        assert projective_dimension(ideal, field) + d == n
+
+
+@pytest.mark.parametrize("m", [9, 12])
+def test_f_family_report_past_sixteen_variables(m):
+    # chain(m, 6) has n = m + 10 variables, 19 and 22
+    assert f_family_report(chain(m, 6)).passed()
 
 
 def test_primes_are_intersected_once_per_family(monkeypatch):
@@ -113,7 +128,7 @@ def test_unmixed_families_satisfy_the_depth_bounds():
     # and 0 < depth A < dim A
     import random
 
-    from ccalab.complexes import depth, dim_of_quotient
+    from ccalab.complexes import dim_of_quotient
     from ccalab.monomial import quotient_height
     from ccalab.pullback import conductor
 

@@ -44,6 +44,11 @@ def _kind(fam):
     return "intersection" if fam.q.is_zero() else "congruence"
 
 
+def _linear_form(n, support, coeffs):
+    """The sum of c * x_i over i in support (0-based) and c in coeffs."""
+    return {tuple(int(j == i) for j in range(n)): Fraction(c) for i, c in zip(support, coeffs)}
+
+
 @pytest.fixture
 def two_planes():
     return PullbackFamily.from_supports(CTX4, [["X", "Y"], ["Z", "W"]])
@@ -154,7 +159,7 @@ def test_overlap_membership_single_component(overlap6):
 def test_membership_fails_on_mismatched_coefficients(two_planes):
     # X survives only in the second component; placing it in the first
     # component alone is fine, but a mismatch across shared monomials fails
-    shared = BElement.from_T(two_planes, p_mono((0, 0, 0, 0), 1))
+    shared = BElement.from_T(two_planes, p_mono((0, 0, 0, 0)))
     bad = BElement(
         two_planes, (shared.parts[0], {})
     )  # (1, 0): the unit survives everywhere
@@ -162,9 +167,9 @@ def test_membership_fails_on_mismatched_coefficients(two_planes):
 
 
 def test_congruence_membership(fiber_x1sq):
-    one = p_mono((0, 0), 1)
+    one = p_mono((0, 0))
     assert not BElement(fiber_x1sq, (one, {})).in_A()[0]  # (1, 0): 1 not in q
-    x2 = p_mono((0, 1), 1)
+    x2 = p_mono((0, 1))
     assert BElement(fiber_x1sq, (x2, {})).in_A()[0]  # (X2, 0): X2 in q
     assert BElement.from_T(fiber_x1sq, p_linear(2, [0])).in_A()[0]  # diagonal
 
@@ -375,7 +380,7 @@ def test_regular_sequence_rank_test_matches_degree_sweep():
         forms = []
         for _ in range(rng.randint(1, 3)):
             support = rng.sample(range(n), rng.randint(1, 3))
-            forms.append(p_linear(n, support, [rng.choice((1, -1, 2)) for _ in support]))
+            forms.append(_linear_form(n, support, [rng.choice((1, -1, 2)) for _ in support]))
         if trial % 3 == 0:
             # a scaled copy of an earlier form: dependent in every component
             forms.append({m: -2 * c for m, c in rng.choice(forms).items()})
@@ -412,7 +417,7 @@ def test_lift_route_and_missing_match_the_element_algebra():
         forms = []
         for _ in range(2):
             support = rng.sample(range(n), rng.randint(1, n))
-            forms.append(p_linear(n, support, [rng.choice((1, -1, 2)) for _ in support]))
+            forms.append(_linear_form(n, support, [rng.choice((1, -1, 2)) for _ in support]))
         for a in rng.sample(monomials, min(3, len(monomials))) + forms:
             got = lift_failures(fam, a, target)
             assert got == oracles.lift_failures_by_belement(fam, a, target), (fam, a)
