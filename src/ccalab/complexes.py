@@ -3,12 +3,9 @@
 Index conventions, fixed once and used by every caller and test:
 
 * reduced_homology returns {i: rank of H~_i} for i = -1 .. dim, as ranks
-  of the augmented chain complex (the empty face generates degree -1).  It
-  takes one of three exact routes: a complex whose facets share a vertex
-  is a cone, so acyclic, and needs no matrix; a complex with few facets
-  against its faces (2^k < sum_f 2^|f| for k facets) has the homology of
-  the nerve of its facets (nerve theorem), whose boundary matrices are
-  ranked instead; any other complex has its own boundary matrices ranked.
+  of the augmented chain complex (the empty face generates degree -1), by
+  one of three exact routes: cone, nerve of the facets, or the complex's
+  own boundary matrices (see there).
 * BettiTable entries are the graded Betti numbers of the *ideal*:
   beta[i, sigma] = dim_k H~_{|sigma| - i - 2}(restriction to sigma), with
   i >= 0.  The resolution of the quotient T/I has the extra beta_{0,()} = 1
@@ -23,7 +20,8 @@ Index conventions, fixed once and used by every caller and test:
   projective_dimension, sweeps only the sets of vertex types (see there).
 
 Only a sweep of all 2^k subsets of k things (_subsets: the faces of a facet,
-graded_betti's sigma, projective_dimension's type sets) refuses k > 16.
+graded_betti's sigma, projective_dimension's type sets) refuses k > 16, and
+reduced_homology prices its nerve route as such a sweep over the facets.
 """
 
 from __future__ import annotations
@@ -35,9 +33,14 @@ from .monomial import make_context
 MAX_VERTICES = 16
 
 
+def _fits(k):
+    """The size rule: a sweep of all 2^k subsets of k things needs k <= 16."""
+    return k <= MAX_VERTICES
+
+
 def _subsets(mask):
-    """Every submask of mask, ascending; ValueError past MAX_VERTICES bits."""
-    if mask.bit_count() > MAX_VERTICES:
+    """Every submask of mask, ascending; ValueError unless _fits(its bit count)."""
+    if not _fits(mask.bit_count()):
         raise ValueError(f"a sweep over 2^k subsets supports k <= {MAX_VERTICES}")
     sub = 0
     while True:
@@ -160,13 +163,14 @@ def reduced_homology(cplx, field):
 
     * cone: if all facets share a vertex v, the complex is a cone with
       apex v, which is contractible, so every rank is 0;
-    * nerve: with k facets, when 2^k < sum_f 2^|f|, the homology is that of
-      the nerve of the facets (the complex on the facet indices whose
-      faces are the index sets with a common vertex).  Every intersection
-      of facets is a simplex or empty, so by the nerve theorem (Bjorner,
-      Topological methods, 10.6) the two are homotopy equivalent.  Ranks
-      above dim of the complex vanish on both sides, so the nerve's ranks
-      are cut or padded with zeros to -1 .. dim;
+    * nerve: with k facets, when _fits(k) and 2^k < sum_f 2^|f| (2^k prices
+      the nerve as a sweep of the index sets, so the size rule applies), the
+      homology is that of the nerve of the facets (the complex on the facet
+      indices whose faces are the index sets with a common vertex).  Every
+      intersection of facets is a simplex or empty, so by the nerve theorem
+      (Bjorner, Topological methods, 10.6) the two are homotopy equivalent.
+      Ranks above dim of the complex vanish on both sides, so the nerve's
+      ranks are cut or padded with zeros to -1 .. dim;
     * otherwise the ranks of the boundary matrices of the complex itself.
     """
     if cplx.is_void():
@@ -179,7 +183,7 @@ def reduced_homology(cplx, field):
     if common:
         return dict.fromkeys(range(-1, top + 1), 0)
     k = len(facets)
-    if (1 << k) < sum(1 << f.bit_count() for f in facets):
+    if _fits(k) and (1 << k) < sum(1 << f.bit_count() for f in facets):
         # a vertex in no facet gives the empty mask, which the antichain drops
         nerve = SimplicialComplex(make_context(k), _types(facets, cplx.context.n))
         hom = _homology_by_boundary_matrices(nerve, field)
@@ -214,9 +218,7 @@ class BettiTable:
     def __init__(self, context, field, entries):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "entries", dict(sorted(entries.items()))
-        )
+        object.__setattr__(self, "entries", dict(sorted(entries.items())))
 
     def __setattr__(self, *a):
         raise AttributeError("BettiTable is immutable")
@@ -346,9 +348,7 @@ def _link_homology(cplx, field):
         meets |= {f & m for m in meets}
         meets.add(f)
     for face in sorted(meets):
-        link = SimplicialComplex(
-            cplx.context, [f & ~face for f in facets if f & face == face]
-        )
+        link = SimplicialComplex(cplx.context, [f & ~face for f in facets if f & face == face])
         yield face.bit_count(), reduced_homology(link, field)
 
 

@@ -88,6 +88,41 @@ def test_size_rule_caps_only_the_subset_sweeps(monkeypatch):
         projective_dimension(MonomialIdeal.from_strings(ctx, ["*".join(ctx.names)]), QQ)
 
 
+def test_nerve_route_only_within_the_size_rule(monkeypatch):
+    # 2^k prices the nerve of k facets as a sweep of their index sets, so it
+    # is taken only for k <= 16.  The complements of the 18 edges of the path
+    # x1-...-x16 with chords x2x4, x3x5, x6x8 (the complex of its cover ideal)
+    # have fewer index sets than faces, but x1 lies in 17 facets, a nerve face
+    # _subsets refuses; without x16 the 17 facets' nerve would fit, but is
+    # many times slower to rank than the complex itself
+    full = (1 << 16) - 1
+    edges = [(i, i + 1) for i in range(15)] + [(1, 3), (2, 4), (5, 7)]
+    cover = SimplicialComplex(make_context(16), [full & ~(1 << a | 1 << b) for a, b in edges])
+    below = SimplicialComplex(cover.context, [f & ~(1 << 15) for f in cover.facets])
+    for cplx, k in ((cover, 18), (below, 17)):
+        assert len(cplx.facets) == k and 1 << k < sum(1 << f.bit_count() for f in cplx.facets)
+        ranked = []
+
+        def stub(c, field):  # the real ranks take seconds
+            ranked.append(c)
+            return {9: 1}
+
+        monkeypatch.setattr(complexes, "_homology_by_boundary_matrices", stub)
+        assert reduced_homology(cplx, QQ) == {9: 1}
+        assert ranked == [cplx]
+        monkeypatch.undo()
+    # the same choice at a cap of 4, with the ranks computed: 6 facets on 8
+    # vertices, whose nerve is ranked at the real cap and not at a cap of 4
+    six = ("1248", "1238", "1346", "1247", "1567", "3578")
+    cplx = SimplicialComplex(make_context(8), [sum(1 << int(v) - 1 for v in f) for f in six])
+    for field in (QQ, GF(2)):
+        by_nerve = reduced_homology(cplx, field)
+        monkeypatch.setattr(complexes, "MAX_VERTICES", 4)
+        assert reduced_homology(cplx, field) == by_nerve == homology_by_boundary_matrices(cplx, field)
+        assert by_nerve[1] == 1
+        monkeypatch.undo()
+
+
 # -- Stanley-Reisner dictionary ------------------------------------------------
 
 
