@@ -111,9 +111,10 @@ def suite(seed, trials, field_text, fmt):
         reports = run_all_suites(seed=seed, trials=trials, field=field)
     except Exception as exc:  # the suites draw their own inputs: any escape is a bug
         _exit_internal(exc)
-    summary = merge_reports(
-        "property-suites", reports, config={"seed": seed, "trials": trials}
-    )
+    config = {"seed": seed, "trials": trials}
+    if not field.is_rationals:
+        config["field"] = str(field)
+    summary = merge_reports("property-suites", reports, config=config)
     sys.exit(_emit([summary], fmt))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 
 from .complexes import depth, depth_via_local_cohomology, dim_of_quotient
-from .linalg import QQ
 from .monomial import (
     Monomial,
     MonomialIdeal,
@@ -42,14 +41,14 @@ _LEGACY_STAMP = 3
 
 def f_family_report(
     fam,
-    field=QQ,
     expected=None,
     parameters=None,
     trace_powers=(),
 ):
     """Verify every computable claim about A = T/(cap (F_i)) and B = (+) T/(F_i).
 
-    fam: an intersection family (q = 0) with at least two components.
+    fam: an intersection family (q = 0) with at least two components; every
+    claim is decided over its field, which the report's config records off Q.
     parameters: optional linear forms (lists of variable names) expected
     to generate the conductor over B.  trace_powers: exponents l >= 1 for
     which the trace test runs on (max ideal)^l.
@@ -59,7 +58,8 @@ def f_family_report(
     if any(ell < 1 for ell in trace_powers):
         raise ValueError("trace powers must be at least 1")
     expected = expected or {}
-    rep = VerificationReport("f-family")
+    field = fam.field
+    rep = VerificationReport("f-family", config={} if field.is_rationals else {"field": str(field)})
 
     ctx = fam.context
     defining = fam.defining_ideal()

@@ -27,6 +27,8 @@ class FieldSpec:
     __slots__ = ("p",)
 
     def __init__(self, p=0):
+        if p >= 1 << 31:  # _is_prime's trial division takes about sqrt(p) steps
+            raise ValueError(f"{p} is too large: prime fields need p < 2^31")
         if p and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "p", p)

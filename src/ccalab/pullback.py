@@ -9,11 +9,12 @@ supports.  An intersection has q = 0 and antichain supports F_i, so
 A = T/(P_1 cap ... cap P_l).  A congruence has two zero primes and a
 proper q, so A = {(x, y) in S x S : x == y mod q} (the fiber product).
 
-Everything is graded, and this layer solves every system exactly over Q.
-That is exact for monomial data in any characteristic: its subspaces are
-coordinate subspaces.  For linear forms the answer can depend on the
-characteristic: with F = {x4}, {x5} in five variables, x1+x2, x2+x3,
-x1+x3 are B-regular over Q but not over F_2.
+Everything is graded, and every system is solved exactly over the
+family's field k (Q unless given), into which reduce_poly carries each
+coefficient.  For monomial data the answers do not depend on k: its
+subspaces are coordinate subspaces.  For linear forms they can: with
+F = {x4}, {x5} in five variables, x1+x2, x2+x3, x1+x3 are B-regular over
+Q and F_3 but not over F_2.
 
 Monomial data is Z^n-graded: B_a has one coordinate x^a e_i per component
 i where x^a survives.  B/A is decided at finitely many exponent vectors a
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from itertools import product
 from operator import add
+from typing import NamedTuple
 
 from .errors import (
     ContextMismatchError,
@@ -51,9 +53,9 @@ class PullbackFamily:
     """The pullback A of primes P_i and q inside (+) T/P_i (see the module docstring)."""
 
     # _free[i]: the variables that are nonzero in component i
-    __slots__ = ("context", "primes", "q", "_free", "_basis_cache")
+    __slots__ = ("context", "primes", "q", "field", "_free", "_basis_cache")
 
-    def __init__(self, context, primes, q):
+    def __init__(self, context, primes, q, field=QQ):
         primes = tuple(primes)
         if q.context != context or any(p.context != context for p in primes):
             raise ContextMismatchError("prime or q in wrong context")
@@ -75,6 +77,7 @@ class PullbackFamily:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "_free", tuple(full & ~p.mask for p in primes))
         object.__setattr__(self, "_basis_cache", {})
 
@@ -82,10 +85,10 @@ class PullbackFamily:
         raise AttributeError("PullbackFamily is immutable")
 
     @classmethod
-    def from_supports(cls, ctx, supports):
-        """The intersection of the primes on variable-name subsets F_1..F_l."""
+    def from_supports(cls, ctx, supports, field=QQ):
+        """The intersection of the primes on variable-name subsets F_1..F_l, over the field."""
         primes = [MonomialPrime(ctx, ctx.mask_of(f)) for f in supports]
-        return cls(ctx, primes, MonomialIdeal.zero(ctx))
+        return cls(ctx, primes, MonomialIdeal.zero(ctx), field)
 
     @classmethod
     def congruence(cls, q):
@@ -117,9 +120,9 @@ class PullbackFamily:
         return [i for i, free in enumerate(self._free) if mask & ~free == 0]
 
     def reduce_poly(self, i, poly):
-        """Image of a T-polynomial in component i: its terms that survive there."""
-        bad = ~self._free[i]
-        return {m: c for m, c in poly.items() if exps_support_mask(m) & bad == 0}
+        """Image of a T-polynomial in component i: its terms that survive there, over the field."""
+        bad, of = ~self._free[i], self.field.of
+        return {m: y for m, c in poly.items() if exps_support_mask(m) & bad == 0 and (y := of(c))}
 
     # -- graded bases -------------------------------------------------------
 
@@ -201,7 +204,7 @@ def stable_subspace(fam, x_submodule, multipliers, d):
         if e is None:
             raise ValueError("multipliers must be homogeneous and nonzero")
         blocks.append((mult_matrix(fam, g, d, e), x_submodule.piece(d + e)))
-    return preimage(blocks, len(fam.basis_B(d)), QQ)
+    return preimage(blocks, len(fam.basis_B(d)), fam.field)
 
 
 def _piece_at(fam, exps):
@@ -209,7 +212,7 @@ def _piece_at(fam, exps):
     comps = fam.surviving(exps)
     index = {i: k for k, i in enumerate(comps)}
     rows = [{index[i]: 1 for i in group} for group in fam.a_basis(exps, comps)]
-    return index, Subspace(QQ, len(index), rows)
+    return index, Subspace(fam.field, len(index), rows)
 
 
 def _times(fam, index, exps, g):
@@ -245,7 +248,7 @@ def conductor(fam):
             ([{k: 1} if j == i else {} for k, (j, _) in enumerate(basis)], unit_A.piece(d))
             for i in range(fam.ell)
         ]
-        direct = preimage(projections, len(basis), QQ)
+        direct = preimage(projections, len(basis), fam.field)
         closed = monomial_span(fam, formula, d)
         if direct != closed:
             raise MethodDisagreementError(
@@ -261,7 +264,7 @@ def monomial_span(fam, ideal, d):
 
     The coordinate subspace of the x^e e_i in basis_B(d) with x^e in the ideal.
     """
-    span = Subspace(QQ, len(fam.basis_B(d)))
+    span = Subspace(fam.field, len(fam.basis_B(d)))
     for k, (_, e) in enumerate(fam.basis_B(d)):
         if ideal.contains(Monomial(e)):
             span.insert({k: 1})
@@ -298,16 +301,13 @@ def conductor_is_irrelevant_primary(fam):
     return None not in _support_powers(fam)
 
 
-class CokernelProfile:
+class CokernelProfile(NamedTuple):
     """Shape of B/A: per-degree dimensions, total length, socle."""
 
-    __slots__ = ("length", "hilbert", "socle_dim", "annihilator_ok")
-
-    def __init__(self, length, hilbert, socle_dim, annihilator_ok):
-        self.length = length
-        self.hilbert = hilbert
-        self.socle_dim = socle_dim
-        self.annihilator_ok = annihilator_ok
+    length: int
+    hilbert: tuple
+    socle_dim: int
+    annihilator_ok: bool
 
 
 def cokernel_profile(fam):
@@ -338,9 +338,9 @@ def cokernel_profile(fam):
         if not codim:
             continue
         hilbert[sum(a)] = hilbert.get(sum(a), 0) + codim
-        socle = preimage([_times(fam, index, a, x) for x in variables], len(index), QQ)
+        socle = preimage([_times(fam, index, a, x) for x in variables], len(index), fam.field)
         socle_dim += socle.dim - a_piece.dim
-        killed = preimage([_times(fam, index, a, g) for g in cond_gens], len(index), QQ)
+        killed = preimage([_times(fam, index, a, g) for g in cond_gens], len(index), fam.field)
         ann_ok = ann_ok and killed.dim == len(index)
     return CokernelProfile(
         length=sum(hilbert.values()),
@@ -397,7 +397,7 @@ class GradedSubmodule:
             return got
         fam = self.family
         index = fam.basis_index(d)
-        space = Subspace(QQ, len(index))
+        space = Subspace(fam.field, len(index))
         seen = set()
         by_degree = {}
         for e, parts in self.gens:
@@ -495,7 +495,7 @@ def regular_sequence_on_B(fam, forms):
     regular on each summand.  Linear forms in a polynomial ring are a
     regular sequence iff they are linearly independent (Bruns-Herzog
     1.1), so r forms are B-regular iff their restrictions to every
-    component span a space of dimension r, decided over Q.  Anything that
+    component span a space of dimension r over the family's field.  Anything that
     is not a linear form raises ValueError.
 
     >>> from ccalab.monomial import make_context
@@ -509,7 +509,7 @@ def regular_sequence_on_B(fam, forms):
         if p_degree(a) != 1:
             raise ValueError("elements must be linear forms")
     for i in range(fam.ell):
-        span = Subspace(QQ, fam.context.n)
+        span = Subspace(fam.field, fam.context.n)
         for a in forms:
             span.insert({m.index(1): c for m, c in fam.reduce_poly(i, a).items()})
         if span.dim < len(forms):

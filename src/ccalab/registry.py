@@ -53,14 +53,14 @@ def get_entry(example_id):
     raise UnknownExampleError(example_id)
 
 
-def _f_family(params):
-    """Named subsets over "vars", or 1-based "index_subsets" of x1..xn."""
+def _f_family(params, field=QQ):
+    """Named subsets over "vars", or 1-based "index_subsets" of x1..xn, over the field."""
     if "vars" in params:
-        return PullbackFamily.from_supports(VarContext(tuple(params["vars"])), params["subsets"])
-    return PullbackFamily.from_supports(
-        make_context(params["n"]),
-        [[f"x{i}" for i in s] for s in params["index_subsets"]],
-    )
+        ctx, supports = VarContext(tuple(params["vars"])), params["subsets"]
+    else:
+        ctx = make_context(params["n"])
+        supports = [[f"x{i}" for i in s] for s in params["index_subsets"]]
+    return PullbackFamily.from_supports(ctx, supports, field)
 
 
 def _artinian(params):
@@ -76,14 +76,11 @@ def run_example(example_id, field=QQ):
     expected = entry.get("expected", {})
     if kind == "f_family":
         rep = f_family_report(
-            _f_family(params),
-            field=field,
+            _f_family(params, field),
             expected=expected,
             parameters=params.get("parameters"),
             trace_powers=tuple(params.get("trace_powers", ())),
         )
-        if not field.is_rationals:
-            rep.config["field"] = str(field)
     elif kind == "k_plus_q":
         rep = k_plus_q_report(_artinian(params), expected=expected)
     elif kind == "fiber_product":

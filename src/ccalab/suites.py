@@ -105,8 +105,8 @@ def lemma_intersection_suite(seed=0, trials=DEFAULT_TRIALS):
     )
 
 
-def conductor_two_path_suite(seed=0, trials=DEFAULT_TRIALS):
-    """The closed-form and direct conductor computations agree."""
+def conductor_two_path_suite(seed=0, trials=DEFAULT_TRIALS, field=QQ):
+    """The closed-form and direct conductor computations agree over the field."""
 
     def trial(rng):
         n = rng.randint(3, 8)
@@ -115,7 +115,7 @@ def conductor_two_path_suite(seed=0, trials=DEFAULT_TRIALS):
         if subsets is None:
             return None
         fam = PullbackFamily.from_supports(
-            make_context(n), [sorted(f"x{i+1}" for i in s) for s in subsets]
+            make_context(n), [sorted(f"x{i+1}" for i in s) for s in subsets], field
         )
         try:
             conductor(fam)
@@ -190,7 +190,7 @@ def s2_oracle_suite(seed=0, trials=DEFAULT_TRIALS):
 def run_all_suites(seed=0, trials=DEFAULT_TRIALS, field=QQ):
     return [
         lemma_intersection_suite(seed, trials),
-        conductor_two_path_suite(seed, trials),
+        conductor_two_path_suite(seed, trials, field),
         auslander_buchsbaum_suite(seed, trials, field),
         s2_oracle_suite(seed, trials),
     ]

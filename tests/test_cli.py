@@ -101,6 +101,27 @@ def test_suite_seeded_deterministic_and_minimal_run():
     assert res.exit_code == 2
 
 
+def test_suite_records_the_field():
+    q, f2 = (
+        json.loads(run("suite", "--trials", "3", "--field", f, "--format", "json").output)
+        for f in ("q", "f2")
+    )
+    assert "field" not in q["reports"][0]["config"]
+    assert f2["reports"][0]["config"].pop("field") == "F2"
+    assert f2 == q
+
+
+def test_field_past_the_largest_prime_exits_two():
+    # 2^61 - 1 is prime, but trial division would take about 10^9 steps
+    for args in (["verify", "two-planes"], ["subalgebra", "--gens", "t^2,t^3"]):
+        res = run(*args, "--field", "fp:2305843009213693951")
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "error: 2305843009213693951 is too large: prime fields need p < 2^31"
+        ]
+    assert run("verify", "two-planes", "--field", f"fp:{2**31 - 1}").exit_code == 0
+
+
 def test_suite_matches_golden_bytes():
     res = run("suite", "--seed", "0", "--trials", "20", "--format", "json")
     assert res.exit_code == 0

@@ -183,9 +183,25 @@ def test_artinian_rejects_positive_dimension():
 
 
 def test_f_family_report_fails_on_tampered_expected():
-    rep = f_family_report(indexed(6, OVERLAP), QQ, expected={"depth_A": 2})  # the truth is 1
+    rep = f_family_report(indexed(6, OVERLAP), expected={"depth_A": 2})  # the truth is 1
     assert not rep.passed()
     assert any(c.claim_id == "depth.A" and c.passed is False for c in rep.claims)
+
+
+def test_f_family_report_decides_every_claim_over_the_family_field():
+    # on the first component the parameters restrict to x3+x4, x4+x5, x3+x5,
+    # of determinant 2: they generate the conductor and are B-regular over Q
+    # and F_3, not over F_2
+    supports = [["x1", "x2", "x7"], ["x3", "x4", "x5"]]
+    parameters = [["x1", "x3", "x4"], ["x2", "x4", "x5"], ["x3", "x5", "x7"]]
+    for field, holds in ((QQ, True), (GF(2), False), (GF(3), True)):
+        fam = PullbackFamily.from_supports(make_context(7), supports, field)
+        rep = f_family_report(fam, parameters=parameters)
+        computed = {c.claim_id: c.computed for c in rep.claims}
+        assert computed["generation.parameters"] is holds
+        assert computed["sequence.B-regular"] is holds
+        assert rep.passed() is holds
+        assert rep.config == ({} if field.is_rationals else {"field": str(field)})
 
 
 def test_k_plus_q_negative_control():
